@@ -602,7 +602,8 @@ bool Checkpointer::backup_matches(ForeignMapping& primary,
                                   ForeignMapping& backup,
                                   std::span<const Pfn> dirty) const {
   for (const Pfn pfn : dirty) {
-    if (fnv1a(primary.peek(pfn).bytes()) != fnv1a(backup.peek(pfn).bytes())) {
+    if (page_hash(primary.peek(pfn).bytes()) !=
+        page_hash(backup.peek(pfn).bytes())) {
       return false;
     }
   }

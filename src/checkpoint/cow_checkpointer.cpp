@@ -18,7 +18,7 @@ namespace {
 // so the captured digests drop into the store's manifests unchanged.
 std::uint64_t copy_page_fused(Page& dst, const Page& src) {
   const std::uint64_t h =
-      copy_and_fnv1a(dst.data.data(), src.data.data(), kPageSize);
+      copy_and_page_hash(dst.data.data(), src.data.data(), kPageSize);
   return h == store::kZeroDigest ? 0x9E3779B97F4A7C15ULL : h;
 }
 

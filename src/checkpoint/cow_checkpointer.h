@@ -20,9 +20,10 @@
 // would have produced -- the property the test suite and the
 // ablation_cow_pause bench assert run by run.
 //
-// The per-page FNV-1a digest is fused into both copy loops (one pass over
-// the bytes instead of copy-then-digest), so the checkpoint store's append
-// skips its hash pass and backup verification reuses the captured digests.
+// The per-page digest (page_hash) is fused into both copy loops (one pass
+// over the bytes instead of copy-then-digest), so the checkpoint store's
+// append skips its hash pass and backup verification reuses the captured
+// digests.
 //
 // Fault discipline: an aborted drain attempt really copies a prefix and
 // retries with backoff; a torn write can only strike a *background-drained*

@@ -29,22 +29,53 @@ void Transport::maybe_tear(ForeignMapping& backup,
 
 namespace {
 
+// LCG x' = a*x + c, and the same generator stepped four times at once:
+// a^4 and c*(a^3 + a^2 + a + 1), both mod 2^64.
+constexpr std::uint64_t kLcgMul = 6364136223846793005ULL;
+constexpr std::uint64_t kLcgInc = 1442695040888963407ULL;
+constexpr std::uint64_t kLcgMul4 = kLcgMul * kLcgMul * kLcgMul * kLcgMul;
+constexpr std::uint64_t kLcgInc4 =
+    kLcgInc * (kLcgMul * kLcgMul * kLcgMul + kLcgMul * kLcgMul + kLcgMul + 1);
+
+constexpr std::uint64_t lcg_step(std::uint64_t x) {
+  return x * kLcgMul + kLcgInc;
+}
+
 // Cheap keyed keystream standing in for ssh's stream cipher. Applied twice
 // (encrypt on send, decrypt on receive), so the work -- the reason the
 // paper's Optimization 1 exists -- is really done.
+//
+// Word k is XORed with the LCG state after k + 1 steps (each tail byte
+// takes one more step). The bulk runs four interleaved lanes, one per word
+// of a 32-byte block, each jumping four steps at a time, so the multiplies
+// no longer form one serial chain; the stream is the serial one exactly.
 void xor_keystream(std::span<std::byte> data, std::uint64_t key) {
-  std::uint64_t state = key ^ 0x9E3779B97F4A7C15ULL;
+  std::uint64_t next = lcg_step(key ^ 0x9E3779B97F4A7C15ULL);
   std::size_t i = 0;
+  if (data.size() >= 32) {
+    std::uint64_t lane[4] = {next};
+    for (std::size_t l = 1; l < 4; ++l) lane[l] = lcg_step(lane[l - 1]);
+    for (; i + 32 <= data.size(); i += 32) {
+      for (std::size_t l = 0; l < 4; ++l) {
+        std::uint64_t word;
+        std::memcpy(&word, data.data() + i + 8 * l, 8);
+        word ^= lane[l];
+        std::memcpy(data.data() + i + 8 * l, &word, 8);
+        lane[l] = lane[l] * kLcgMul4 + kLcgInc4;
+      }
+    }
+    next = lane[0];
+  }
   for (; i + 8 <= data.size(); i += 8) {
-    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
     std::uint64_t word;
     std::memcpy(&word, data.data() + i, 8);
-    word ^= state;
+    word ^= next;
     std::memcpy(data.data() + i, &word, 8);
+    next = lcg_step(next);
   }
   for (; i < data.size(); ++i) {
-    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
-    data[i] ^= static_cast<std::byte>(state);
+    data[i] ^= static_cast<std::byte>(next);
+    next = lcg_step(next);
   }
 }
 
@@ -105,22 +136,55 @@ Nanos MemcpyTransport::copy(ForeignMapping& primary, ForeignMapping& backup,
 
 namespace rle {
 
+namespace {
+
+constexpr std::size_t kMaxRun = 0xFFFF;  // a run length is a u16
+
+std::uint64_t load_word(std::span<const std::byte> data, std::size_t at) {
+  std::uint64_t w;
+  std::memcpy(&w, data.data() + at, sizeof(w));
+  return w;
+}
+
+// True when some byte of `w` is zero. Subtracting 1 from every byte sets
+// the top bit of a zero byte; ~w drops bytes that had it set already. A
+// borrow can add a spurious hit only above a genuine zero byte, so the
+// any-zero answer is exact.
+constexpr bool has_zero_byte(std::uint64_t w) {
+  return ((w - 0x0101010101010101ULL) & ~w & 0x8080808080808080ULL) != 0;
+}
+
+// End of the zero run starting at `i`, scanning at most up to `limit`:
+// whole zero words first, then byte by byte across the run's edge.
+std::size_t zero_run_end(std::span<const std::byte> data, std::size_t i,
+                         std::size_t limit) {
+  while (i + 8 <= limit && load_word(data, i) == 0) i += 8;
+  while (i < limit && data[i] == std::byte{0}) ++i;
+  return i;
+}
+
+// End of the literal (non-zero) run starting at `i`, at most `limit`.
+std::size_t literal_run_end(std::span<const std::byte> data, std::size_t i,
+                            std::size_t limit) {
+  while (i + 8 <= limit && !has_zero_byte(load_word(data, i))) i += 8;
+  while (i < limit && data[i] != std::byte{0}) ++i;
+  return i;
+}
+
+}  // namespace
+
 std::vector<std::byte> encode(std::span<const std::byte> data) {
   std::vector<std::byte> out;
   out.reserve(64);
   std::size_t i = 0;
   while (i < data.size()) {
-    std::size_t zeros = 0;
-    while (i + zeros < data.size() && data[i + zeros] == std::byte{0} &&
-           zeros < 0xFFFF) {
-      ++zeros;
-    }
-    std::size_t lit_start = i + zeros;
-    std::size_t lits = 0;
-    while (lit_start + lits < data.size() &&
-           data[lit_start + lits] != std::byte{0} && lits < 0xFFFF) {
-      ++lits;
-    }
+    const std::size_t lit_start =
+        zero_run_end(data, i, std::min(data.size(), i + kMaxRun));
+    const std::size_t zeros = lit_start - i;
+    const std::size_t lits =
+        literal_run_end(data, lit_start,
+                        std::min(data.size(), lit_start + kMaxRun)) -
+        lit_start;
     const std::size_t base = out.size();
     out.resize(base + 4 + lits);
     store_le<std::uint16_t>(out, base, static_cast<std::uint16_t>(zeros));

@@ -13,19 +13,27 @@ namespace {
 constexpr std::uint64_t kStreamSalt = 0x5EA1'57E4'3A4DULL;
 constexpr std::uint64_t kMacSalt = 0x3AC'0F'7A6ULL;
 
+// Two finalizer rounds: the first folds key and tweak into a per-record
+// block key, the second spreads the word counter. A block moved to a
+// different record deciphers under the wrong block key.
+std::uint64_t block_key(std::uint64_t key, std::uint64_t tweak) {
+  return mix64(key ^ kStreamSalt ^ mix64(tweak));
+}
+
+std::uint64_t block_word(std::uint64_t block, std::uint64_t index) {
+  return mix64(block ^ (index * 0x9E3779B97F4A7C15ULL));
+}
+
 }  // namespace
 
 std::uint64_t PageSealer::keystream_word(std::uint64_t tweak,
                                          std::uint64_t index) const {
-  // Two finalizer rounds: the first folds key and tweak into a
-  // per-record block key, the second spreads the word counter. A block
-  // moved to a different record deciphers under the wrong block key.
-  const std::uint64_t block = mix64(key_ ^ kStreamSalt ^ mix64(tweak));
-  return mix64(block ^ (index * 0x9E3779B97F4A7C15ULL));
+  return block_word(block_key(key_, tweak), index);
 }
 
 void PageSealer::cipher(std::span<std::byte> payload,
                         std::uint64_t tweak) const {
+  const std::uint64_t block = block_key(key_, tweak);
   std::size_t off = 0;
   std::uint64_t index = 0;
   // Word-at-a-time XOR; the keystream cost is what the CostModel's
@@ -33,12 +41,12 @@ void PageSealer::cipher(std::span<std::byte> payload,
   while (off + 8 <= payload.size()) {
     std::uint64_t word;
     std::memcpy(&word, payload.data() + off, 8);
-    word ^= keystream_word(tweak, index++);
+    word ^= block_word(block, index++);
     std::memcpy(payload.data() + off, &word, 8);
     off += 8;
   }
   if (off < payload.size()) {
-    const std::uint64_t ks = keystream_word(tweak, index);
+    const std::uint64_t ks = block_word(block, index);
     for (std::size_t i = 0; off + i < payload.size(); ++i) {
       payload[off + i] ^= static_cast<std::byte>(ks >> (8 * i));
     }
@@ -47,11 +55,11 @@ void PageSealer::cipher(std::span<std::byte> payload,
 
 std::uint64_t PageSealer::mac(std::span<const std::byte> sealed,
                               std::uint64_t tweak) const {
-  // Encrypt-then-MAC: a keyed FNV-1a fold over the ciphertext, seeded
-  // from (key, tweak) and finalized with the length, so flips, moves
-  // (wrong tweak), and truncations (wrong length) all miss the tag.
+  // Encrypt-then-MAC: page_hash over the ciphertext, seeded from (key,
+  // tweak) and finalized with the length, so flips, moves (wrong tweak),
+  // and truncations (wrong length) all miss the tag.
   const std::uint64_t seed = mix64(key_ ^ kMacSalt ^ mix64(tweak));
-  const std::uint64_t body = fnv1a(sealed, seed);
+  const std::uint64_t body = page_hash(sealed, seed);
   return mix64(body ^ mix64(static_cast<std::uint64_t>(sealed.size())));
 }
 

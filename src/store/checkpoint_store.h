@@ -93,7 +93,7 @@ class CheckpointStore {
                ThreadPool* pool);
 
   // Append with precomputed digests (digests[i] is page_digest() of
-  // image's dirty[i] page): the CoW drain folds the FNV-1a sweep into its
+  // image's dirty[i] page): the CoW drain folds the digest sweep into its
   // copy loop, so this path skips the hash pass entirely -- its cost was
   // already charged as cow_fused_hash_per_page on the drain timeline.
   Nanos append_with_digests(std::uint64_t epoch, std::span<const Pfn> dirty,

@@ -10,17 +10,17 @@ namespace crimes::store {
 
 namespace {
 
-// Secondary hash for collision detection: same fold, different seed, so
-// two contents colliding on both is no longer a birthday problem but a
+// Secondary hash for collision detection: same function, different seed,
+// so two contents colliding on both is no longer a birthday problem but a
 // 128-bit accident.
 std::uint64_t check_digest(const Page& page) {
-  return fnv1a(page.bytes(), /*seed=*/0x9E3779B97F4A7C15ULL);
+  return page_hash(page.bytes(), /*seed=*/0x9E3779B97F4A7C15ULL);
 }
 
 }  // namespace
 
 std::uint64_t page_digest(const Page& page) {
-  const std::uint64_t h = fnv1a(page.bytes());
+  const std::uint64_t h = page_hash(page.bytes());
   // kZeroDigest is the manifest's "zero page" sentinel; remap the (absurdly
   // unlikely) real page hashing to it onto an arbitrary fixed value.
   return h == kZeroDigest ? 0x9E3779B97F4A7C15ULL : h;
@@ -33,7 +33,7 @@ std::uint64_t PageStore::intern(const Page& page, std::uint64_t digest,
     if (it->second.check != check_digest(page)) {
       // A genuine 64-bit digest collision. Refusing loudly beats silently
       // deduplicating two different pages into one.
-      throw std::runtime_error("PageStore: FNV-1a digest collision");
+      throw std::runtime_error("PageStore: page digest collision");
     }
     ++it->second.refs;
     ++stats_.dedup_hits;
@@ -154,30 +154,29 @@ std::uint32_t PageStore::refs(std::uint64_t digest) const {
   return it == entries_.end() ? 0 : it->second.refs;
 }
 
-std::vector<std::uint64_t> PageStore::sorted_digests() const {
-  std::vector<std::uint64_t> digests;
-  digests.reserve(entries_.size());
-  for (const auto& [digest, entry] : entries_) digests.push_back(digest);
-  std::sort(digests.begin(), digests.end());
-  return digests;
-}
-
 std::vector<std::uint64_t> PageStore::verify_seals() const {
   std::vector<std::uint64_t> bad;
   if (sealer_ == nullptr) return bad;
-  for (const std::uint64_t digest : sorted_digests()) {
-    const Entry& entry = entries_.at(digest);
+  // Walk in hash-map order and sort only the failures: the evidence order
+  // is the same as a sorted sweep without sorting the whole store.
+  for (const auto& [digest, entry] : entries_) {
     if (sealer_->mac(entry.payload, digest) != entry.mac) {
       bad.push_back(digest);
       ++stats_.seal_failures;
     }
   }
+  std::sort(bad.begin(), bad.end());
   return bad;
 }
 
 std::uint64_t PageStore::tamper(std::uint64_t victim, TamperMode mode) {
   if (entries_.empty()) return kZeroDigest;
-  const std::vector<std::uint64_t> digests = sorted_digests();
+  // Victims index the sorted digest list: unordered_map order would break
+  // same-seed reproducibility.
+  std::vector<std::uint64_t> digests;
+  digests.reserve(entries_.size());
+  for (const auto& [digest, entry] : entries_) digests.push_back(digest);
+  std::sort(digests.begin(), digests.end());
   const std::uint64_t target = digests[victim % digests.size()];
   Entry& entry = entries_.at(target);
   switch (mode) {

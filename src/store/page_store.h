@@ -1,13 +1,13 @@
 // Content-addressed page storage for the checkpoint store.
 //
-// Every distinct page content is stored once, keyed by its 64-bit FNV-1a
-// digest, with a reference count of how many generation manifests point at
-// it. Payloads are never raw 4 KiB frames: a page is kept either as the
-// RLE encoding of its bytes or -- when smaller -- as the RLE encoding of
-// its XOR delta against the previous version of the same PFN (the same
-// codec CompressedSocketTransport puts on the wire). Delta chains are
-// capped at depth 1: a delta's base is always a raw entry, so restoring
-// any page decodes at most two payloads.
+// Every distinct page content is stored once, keyed by its 64-bit
+// page_hash digest, with a reference count of how many generation
+// manifests point at it. Payloads are never raw 4 KiB frames: a page is
+// kept either as the RLE encoding of its bytes or -- when smaller -- as
+// the RLE encoding of its XOR delta against the previous version of the
+// same PFN (the same codec CompressedSocketTransport puts on the wire).
+// Delta chains are capped at depth 1: a delta's base is always a raw
+// entry, so restoring any page decodes at most two payloads.
 //
 // Digest 0 is reserved as the "zero / never-backed page" sentinel and is
 // never produced by page_digest(); generation manifests use it instead of
@@ -27,7 +27,7 @@ namespace crimes::store {
 // Manifest sentinel: the page is all zeroes (or was never backed).
 inline constexpr std::uint64_t kZeroDigest = 0;
 
-// FNV-1a over the page bytes, remapped away from the reserved sentinel.
+// page_hash over the page bytes, remapped away from the reserved sentinel.
 [[nodiscard]] std::uint64_t page_digest(const Page& page);
 
 struct PageStoreStats {
@@ -109,11 +109,6 @@ class PageStore {
     std::uint64_t mac = 0;  // keyed tag over the sealed payload (sealer set)
     std::vector<std::byte> payload;  // RLE of raw/XOR-delta bytes, sealed
   };
-
-  // Digests of the live entries in sorted order: the deterministic
-  // iteration the tamper hook and the verify sweep both use
-  // (unordered_map order would break same-seed reproducibility).
-  [[nodiscard]] std::vector<std::uint64_t> sorted_digests() const;
 
   bool delta_compress_;
   const crypto::PageSealer* sealer_ = nullptr;

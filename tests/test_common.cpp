@@ -9,7 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
 namespace crimes {
 namespace {
@@ -135,6 +138,84 @@ TEST(Fnv1a, SeedChainsBlocks) {
   // fold, which is how multi-block callers compose digests.
   EXPECT_EQ(fnv1a(std::string_view{"bar"}, fnv1a(std::string_view{"foo"})),
             fnv1a(std::string_view{"foobar"}));
+}
+
+// Pattern bytes for the page_hash vectors: byte i is (31 * i + 7) mod 256.
+std::vector<std::byte> hash_pattern(std::size_t len) {
+  std::vector<std::byte> bytes(len);
+  for (std::size_t i = 0; i < len; ++i) {
+    bytes[i] = static_cast<std::byte>(i * 31 + 7);
+  }
+  return bytes;
+}
+
+std::span<const std::byte> as_bytes(std::string_view text) {
+  return {reinterpret_cast<const std::byte*>(text.data()), text.size()};
+}
+
+TEST(PageHash, MatchesPublishedXxh64Vectors) {
+  // page_hash is XXH64; these are the reference implementation's outputs
+  // (seed 0), covering the short path, the 4-byte tail and the stripes.
+  EXPECT_EQ(page_hash(as_bytes("")), 0xEF46DB3751D8E999ULL);
+  EXPECT_EQ(page_hash(as_bytes("abc")), 0x44BC2CF5AD770999ULL);
+  EXPECT_EQ(page_hash(as_bytes("Nobody inspects the spammish repetition")),
+            0xFBCEA83C8A378BF1ULL);
+}
+
+TEST(PageHash, PinnedReferenceVectors) {
+  // Lengths straddle the 32-byte stripe: short path, one stripe, one
+  // stripe plus a byte, and a whole page. Store digests (and so the
+  // tamper hook's victim order) depend on these exact values.
+  const std::vector<std::byte> bytes = hash_pattern(kPageSize);
+  const std::pair<std::size_t, std::uint64_t> vectors[] = {
+      {0, 0xEF46DB3751D8E999ULL},  {1, 0xA96C7F0CE858BBB7ULL},
+      {31, 0x4A74F3A1A39AD4A1ULL}, {32, 0x8D57D6A4671CC43DULL},
+      {33, 0x62C9FD21ED857664ULL}, {kPageSize, 0xE21174BE82DC78D9ULL},
+  };
+  for (const auto& [len, expected] : vectors) {
+    EXPECT_EQ(page_hash({bytes.data(), len}), expected) << "len " << len;
+  }
+  const std::vector<std::byte> zero_page(kPageSize);
+  EXPECT_EQ(page_hash(zero_page), 0xAC869B6F32D8BBDBULL);
+  EXPECT_EQ(page_hash(zero_page, 0x9E3779B97F4A7C15ULL),
+            0x3BC3E304234F9E0EULL);
+}
+
+TEST(PageHash, SeedSelectsAnIndependentFunction) {
+  // The store's content key and collision check are two seeds of the same
+  // function; they must disagree on every length class.
+  const std::vector<std::byte> bytes = hash_pattern(kPageSize);
+  for (const std::size_t len : {std::size_t{0}, std::size_t{5},
+                                std::size_t{32}, std::size_t{100},
+                                kPageSize}) {
+    const std::span<const std::byte> view(bytes.data(), len);
+    EXPECT_NE(page_hash(view, 0), page_hash(view, 1)) << "len " << len;
+    EXPECT_NE(page_hash(view, 0), page_hash(view, 0x9E3779B97F4A7C15ULL))
+        << "len " << len;
+  }
+  // One flipped bit anywhere in a page moves the digest.
+  std::vector<std::byte> flipped = bytes;
+  flipped[kPageSize - 1] ^= std::byte{1};
+  EXPECT_NE(page_hash(flipped), page_hash(bytes));
+}
+
+TEST(PageHash, CopyAndPageHashMatchesSeparatePasses) {
+  Rng rng(43);
+  std::vector<std::byte> src(kPageSize);
+  for (auto& b : src) b = std::byte{static_cast<unsigned char>(rng.next_u64())};
+  std::vector<std::size_t> lengths;
+  for (std::size_t len = 0; len <= 300; ++len) lengths.push_back(len);
+  lengths.push_back(kPageSize);
+  for (const std::size_t len : lengths) {
+    std::vector<std::byte> dst(len, std::byte{0xFF});
+    for (const std::uint64_t seed : {0ULL, 0x9E3779B97F4A7C15ULL}) {
+      EXPECT_EQ(copy_and_page_hash(dst.data(), src.data(), len, seed),
+                page_hash({src.data(), len}, seed))
+          << "len " << len << " seed " << seed;
+    }
+    EXPECT_TRUE(std::equal(dst.begin(), dst.end(), src.begin()))
+        << "len " << len;
+  }
 }
 
 TEST(CostModel, DerivedCostsScaleWithLoad) {

@@ -123,11 +123,14 @@ TEST(CryptoSealer, MacReferenceVectorBindsBytesTweakAndLength) {
   const std::vector<std::byte> payload = pattern_payload(48, 3);
   const std::uint64_t tweak = 0x1234;
 
+  // The body is page_hash (XXH64) seeded from (key, tweak), finalized
+  // with the length; the literal pins the value itself.
   const std::uint64_t seed = mix64(kKey ^ kMacSalt ^ mix64(tweak));
   const std::uint64_t expected =
-      mix64(fnv1a(std::span<const std::byte>(payload), seed) ^
+      mix64(page_hash(std::span<const std::byte>(payload), seed) ^
             mix64(static_cast<std::uint64_t>(payload.size())));
   EXPECT_EQ(sealer.mac(payload, tweak), expected);
+  EXPECT_EQ(expected, 0x48F1E1CF8A8F8A90ULL);
 
   // Truncation misses the tag even when the removed suffix is all zero:
   // the length is folded in after the byte sweep.

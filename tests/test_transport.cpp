@@ -3,6 +3,7 @@
 // socket transports (retry/backoff accounting under a transport storm).
 #include "checkpoint/checkpointer.h"
 #include "checkpoint/transport.h"
+#include "common/bytes.h"
 #include "common/rng.h"
 #include "core/crimes.h"
 #include "fault/fault_plan.h"
@@ -10,6 +11,11 @@
 #include "workload/parsec.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <span>
+#include <string>
+#include <vector>
 
 namespace crimes {
 namespace {
@@ -62,6 +68,111 @@ TEST(Rle, CompressesSparseDataAndRejectsGarbage) {
   lying[2] = std::byte{0xFF};
   lying[3] = std::byte{0xFF};
   EXPECT_FALSE(rle::decode(lying, out));
+}
+
+// The byte-serial encoder rle::encode replaced: one byte per step, each
+// run capped at the u16 field. The word-wide encoder must reproduce its
+// output byte for byte (the store's payload sizes, and so its accounting
+// and journal bytes, depend on it).
+std::vector<std::byte> reference_encode(std::span<const std::byte> data) {
+  std::vector<std::byte> out;
+  std::size_t i = 0;
+  while (i < data.size()) {
+    std::size_t zeros = 0;
+    while (i + zeros < data.size() && data[i + zeros] == std::byte{0} &&
+           zeros < 0xFFFF) {
+      ++zeros;
+    }
+    const std::size_t lit_start = i + zeros;
+    std::size_t lits = 0;
+    while (lit_start + lits < data.size() &&
+           data[lit_start + lits] != std::byte{0} && lits < 0xFFFF) {
+      ++lits;
+    }
+    const std::size_t base = out.size();
+    out.resize(base + 4 + lits);
+    store_le<std::uint16_t>(out, base, static_cast<std::uint16_t>(zeros));
+    store_le<std::uint16_t>(out, base + 2, static_cast<std::uint16_t>(lits));
+    std::copy_n(data.begin() + static_cast<std::ptrdiff_t>(lit_start), lits,
+                out.begin() + static_cast<std::ptrdiff_t>(base + 4));
+    i = lit_start + lits;
+  }
+  return out;
+}
+
+void expect_matches_reference(std::span<const std::byte> data,
+                              const std::string& what) {
+  const std::vector<std::byte> encoded = rle::encode(data);
+  ASSERT_EQ(encoded, reference_encode(data)) << what;
+  std::vector<std::byte> decoded(data.size());
+  ASSERT_TRUE(rle::decode(encoded, decoded)) << what;
+  ASSERT_TRUE(std::equal(decoded.begin(), decoded.end(), data.begin()))
+      << what;
+}
+
+TEST(Rle, WordWideEncoderMatchesByteSerialReference) {
+  Rng rng(77);
+  // Densities from nearly all zero to nearly all literal; lengths are
+  // random (mostly not multiples of 8), and the view starts at a random
+  // offset so word loads are unaligned.
+  for (const double density : {0.0, 0.02, 0.3, 0.5, 0.9, 0.995, 1.0}) {
+    for (int trial = 0; trial < 40; ++trial) {
+      const std::size_t len = rng.next_below(5000);
+      const std::size_t offset = rng.next_below(8);
+      std::vector<std::byte> buf(len + offset);
+      for (auto& b : buf) {
+        b = rng.next_bool(density)
+                ? static_cast<std::byte>(rng.next_in(1, 255))
+                : std::byte{0};
+      }
+      expect_matches_reference(
+          std::span<const std::byte>(buf).subspan(offset),
+          "density " + std::to_string(density) + " len " +
+              std::to_string(len) + " offset " + std::to_string(offset));
+    }
+  }
+  // Page-sized run structure: alternating zero and literal runs of random
+  // lengths, the shape of real XOR deltas.
+  for (int trial = 0; trial < 100; ++trial) {
+    std::vector<std::byte> page(kPageSize, std::byte{0});
+    std::size_t at = rng.next_below(64);
+    while (at < page.size()) {
+      const std::size_t lits = std::min<std::size_t>(rng.next_in(1, 40),
+                                                     page.size() - at);
+      for (std::size_t i = 0; i < lits; ++i) {
+        page[at + i] = static_cast<std::byte>(rng.next_in(1, 255));
+      }
+      at += lits + rng.next_in(1, 300);
+    }
+    expect_matches_reference(page, "runs trial " + std::to_string(trial));
+  }
+}
+
+TEST(Rle, WordWideEncoderMatchesReferenceAcrossRunCaps) {
+  // Zero and literal runs just under, at and over the 0xFFFF cap, with
+  // ragged ends so the word loop hands over to the byte loop mid-run.
+  for (const std::size_t run : {std::size_t{0xFFF8}, std::size_t{0xFFFE},
+                                std::size_t{0xFFFF}, std::size_t{0x10000},
+                                std::size_t{0x10007}, std::size_t{0x1FFFE},
+                                std::size_t{0x20005}}) {
+    for (const std::size_t tail : {std::size_t{0}, std::size_t{3},
+                                   std::size_t{9}}) {
+      std::vector<std::byte> zeros_first(run + tail, std::byte{0});
+      for (std::size_t i = run; i < zeros_first.size(); ++i) {
+        zeros_first[i] = std::byte{0x11};
+      }
+      expect_matches_reference(zeros_first, "zero run " + std::to_string(run) +
+                                                " tail " +
+                                                std::to_string(tail));
+      std::vector<std::byte> lits_first(run + tail, std::byte{0x22});
+      for (std::size_t i = run; i < lits_first.size(); ++i) {
+        lits_first[i] = std::byte{0};
+      }
+      expect_matches_reference(lits_first, "literal run " +
+                                               std::to_string(run) + " tail " +
+                                               std::to_string(tail));
+    }
+  }
 }
 
 TEST(CompressedTransport, ProducesIdenticalBackupImage) {
