@@ -31,6 +31,7 @@
 // telemetry layer on and exports the Chrome trace / metrics JSONL (this is
 // how scripts/check_trace.py validates the replicate/journal/failover
 // spans end to end).
+#include "common/hash.h"
 #include "core/crimes.h"
 #include "replication/store_journal.h"
 #include "telemetry/export.h"
@@ -87,18 +88,15 @@ class EpochTalker : public Workload {
   std::size_t epoch_ = 0;
 };
 
+// page_hash chained over every page, in PFN order; a never-written page
+// folds in a marker instead, so the fingerprint also pins which frames
+// exist.
 std::uint64_t vm_fingerprint(const Vm& vm) {
-  std::uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](std::uint64_t v) { h = (h ^ v) * 1099511628211ull; };
+  std::uint64_t h = 0;
   for (std::size_t i = 0; i < vm.page_count(); ++i) {
     const Pfn pfn{i};
-    if (!vm.is_backed(pfn)) {
-      mix(0x9E);
-      continue;
-    }
-    for (const std::byte b : vm.page(pfn).bytes()) {
-      mix(std::to_integer<std::uint64_t>(b));
-    }
+    h = vm.is_backed(pfn) ? page_hash(vm.page(pfn).bytes(), h)
+                          : page_hash({}, h ^ 0x9E);
   }
   return h;
 }

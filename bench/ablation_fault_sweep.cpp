@@ -21,6 +21,7 @@
 // Everything runs in virtual time: the table is identical on every
 // machine. Two self-checks print PASS/FAIL lines: same-seed determinism
 // and byte-identity of the faulty runs' final backup vs. the clean run.
+#include "common/hash.h"
 #include "core/crimes.h"
 #include "workload/parsec.h"
 
@@ -75,19 +76,16 @@ class EpochTalker : public Workload {
   std::size_t epoch_ = 0;
 };
 
+// page_hash chained over every backup page, in PFN order; a
+// never-written page folds in a marker instead, so the fingerprint also
+// pins which frames exist.
 std::uint64_t backup_fingerprint(Crimes& crimes) {
-  Vm& backup = crimes.checkpointer().backup();
-  std::uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](std::uint64_t v) { h = (h ^ v) * 1099511628211ull; };
+  const Vm& backup = crimes.checkpointer().backup();
+  std::uint64_t h = 0;
   for (std::size_t i = 0; i < backup.page_count(); ++i) {
     const Pfn pfn{i};
-    if (!backup.is_backed(pfn)) {
-      mix(0x9E);
-      continue;
-    }
-    for (const std::byte b : backup.page(pfn).bytes()) {
-      mix(std::to_integer<std::uint64_t>(b));
-    }
+    h = backup.is_backed(pfn) ? page_hash(backup.page(pfn).bytes(), h)
+                              : page_hash({}, h ^ 0x9E);
   }
   return h;
 }

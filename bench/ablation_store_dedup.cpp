@@ -4,7 +4,7 @@
 // hold, bytes the store actually holds (dedup + delta-RLE), the resulting
 // ratio, and the p95 incremental-GC pause. Every run self-checks that
 // each retained generation still materializes byte-identical (per-page
-// FNV-1a against digests recorded at commit time).
+// page_hash against digests recorded at commit time).
 //
 // Exit code: 0 only if every self-check passes AND the paper-style
 // acceptance bar holds -- parsec at retention depth >= 8 stores less than
@@ -44,7 +44,7 @@ struct CellResult {
 std::vector<std::uint64_t> image_digests(const Vm& vm) {
   std::vector<std::uint64_t> out(vm.page_count());
   for (std::size_t i = 0; i < vm.page_count(); ++i) {
-    out[i] = fnv1a(vm.page(Pfn{i}).bytes());
+    out[i] = page_hash(vm.page(Pfn{i}).bytes());
   }
   return out;
 }
@@ -125,7 +125,7 @@ CellResult run_cell(const std::string& workload_name, std::size_t depth) {
     (void)store.materialize(epoch, dst);
     const Vm& view = scratch;
     for (std::size_t i = 0; i < view.page_count(); ++i) {
-      if (fnv1a(view.page(Pfn{i}).bytes()) != digests[i]) {
+      if (page_hash(view.page(Pfn{i}).bytes()) != digests[i]) {
         cell.restore_ok = false;
         std::fprintf(stderr,
                      "self-check: generation %llu page %zu diverged\n",

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstring>
 #include <stdexcept>
+#include <utility>
 
 namespace crimes {
 
@@ -33,7 +34,8 @@ CowCheckpointer::CowCheckpointer(Hypervisor& hypervisor, Vm& primary,
       backup_(&backup),
       costs_(&costs),
       config_(&config),
-      pool_(pool) {}
+      pool_(pool),
+      slot_of_(primary.page_count(), 0) {}
 
 Nanos CowCheckpointer::protect(std::vector<Pfn> dirty, const VcpuState& vcpu,
                                bool capture_undo, bool want_digests) {
@@ -43,11 +45,10 @@ Nanos CowCheckpointer::protect(std::vector<Pfn> dirty, const VcpuState& vcpu,
   active_ = true;
   want_digests_ = want_digests;
   dirty_ = std::move(dirty);
-  slot_of_.clear();
-  slot_of_.reserve(dirty_.size());
-  for (std::size_t i = 0; i < dirty_.size(); ++i) slot_of_[dirty_[i]] = i;
+  for (std::size_t i = 0; i < dirty_.size(); ++i) {
+    slot_of_[dirty_[i].value()] = static_cast<std::uint32_t>(i);
+  }
   digests_.assign(dirty_.size(), 0);
-  touched_.assign(dirty_.size(), false);
   first_touches_ = 0;
   first_touch_cost_ = Nanos{0};
   vcpu_ = vcpu;
@@ -78,20 +79,18 @@ void CowCheckpointer::on_first_touch(Pfn pfn) {
   // Synchronous dom0 handler: the guest's write is held until the page's
   // pre-write bytes -- the checkpointed content, since this is the first
   // touch -- are safe in the backup. The protection was already dropped
-  // by the monitor, so the copy below cannot re-trap.
-  const auto it = slot_of_.find(pfn);
-  if (it == slot_of_.end() || touched_[it->second]) return;
-  const std::size_t slot = it->second;
-  ForeignMapping src = hypervisor_->map_foreign(primary_->id());
-  ForeignMapping dst = hypervisor_->map_foreign(backup_->id());
-  Page& to = dst.page(pfn);
-  const Page& from = src.peek(pfn);
+  // by the monitor, so the copy below cannot re-trap, and the trap cannot
+  // fire twice. A PFN outside this drain's dirty set (protected by some
+  // other caller of the monitor) is not ours to copy.
+  const std::uint32_t slot = slot_of_[pfn.value()];
+  if (slot >= dirty_.size() || dirty_[slot] != pfn) return;
+  Page& to = backup_->page(pfn);
+  const Page& from = std::as_const(*primary_).page(pfn);
   if (want_digests_) {
     digests_[slot] = copy_page_fused(to, from);
   } else {
     std::memcpy(to.data.data(), from.data.data(), kPageSize);
   }
-  touched_[slot] = true;
   ++first_touches_;
   first_touch_cost_ +=
       costs_->cow_first_touch_per_page +
@@ -106,10 +105,12 @@ CowCommit CowCheckpointer::complete(fault::FaultInjector* faults) {
   commit.first_touches = first_touches_;
   commit.first_touch_cost = first_touch_cost_;
 
-  std::vector<std::size_t> remaining;  // slots the guest never touched
+  // Slots the guest never touched: their pages are still protected.
+  const MemoryEventMonitor& monitor = primary_->monitor();
+  std::vector<std::size_t> remaining;
   remaining.reserve(dirty_.size() - first_touches_);
   for (std::size_t i = 0; i < dirty_.size(); ++i) {
-    if (!touched_[i]) remaining.push_back(i);
+    if (monitor.cow_protected(dirty_[i])) remaining.push_back(i);
   }
   commit.drained_pages = remaining.size();
 

@@ -41,7 +41,6 @@
 #include "hypervisor/hypervisor.h"
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 namespace crimes::fault {
@@ -105,9 +104,13 @@ class CowCheckpointer {
   bool active_ = false;
   bool want_digests_ = false;
   std::vector<Pfn> dirty_;
-  std::unordered_map<Pfn, std::size_t> slot_of_;  // pfn -> index in dirty_
-  std::vector<std::uint64_t> digests_;            // parallel to dirty_
-  std::vector<bool> touched_;                     // parallel to dirty_
+  // pfn -> index in dirty_, one entry per primary page. Written by
+  // protect() and never cleared: an entry only counts when dirty_ holds
+  // that PFN at that slot, so stale entries from earlier epochs are inert.
+  // Whether a slot was first-touched is the primary monitor's protection
+  // bit (cleared by the trap), not a second array here.
+  std::vector<std::uint32_t> slot_of_;
+  std::vector<std::uint64_t> digests_;  // parallel to dirty_
   std::vector<Page> undo_;  // backup bytes before this drain (may be empty)
   VcpuState vcpu_;
   std::size_t first_touches_ = 0;

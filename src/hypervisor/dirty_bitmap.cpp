@@ -24,6 +24,18 @@ void DirtyBitmap::mark(Pfn pfn) {
   }
 }
 
+void DirtyBitmap::clear(Pfn pfn) {
+  if (pfn.value() >= page_count_) {
+    throw std::out_of_range("DirtyBitmap::clear: PFN out of range");
+  }
+  std::uint64_t& word = words_[pfn.value() / kBitsPerWord];
+  const std::uint64_t bit = std::uint64_t{1} << (pfn.value() % kBitsPerWord);
+  if ((word & bit) != 0) {
+    word &= ~bit;
+    --dirty_count_;
+  }
+}
+
 bool DirtyBitmap::test(Pfn pfn) const {
   if (pfn.value() >= page_count_) {
     throw std::out_of_range("DirtyBitmap::test: PFN out of range");

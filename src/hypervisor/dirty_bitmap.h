@@ -1,5 +1,9 @@
 // Log-dirty bitmap, one bit per guest pseudo-physical page.
 //
+// The memory-event monitor reuses it for its per-page watch and CoW
+// protection sets (hypervisor/events.h); dirty_count() is then the live
+// number of armed pages.
+//
 // This is the data structure behind the paper's Optimization 3: Remus scans
 // the bitmap bit by bit, CRIMES scans it a machine word at a time and only
 // decomposes nonzero words. Both algorithms are implemented for real (and
@@ -24,6 +28,7 @@ class DirtyBitmap {
   explicit DirtyBitmap(std::size_t page_count);
 
   void mark(Pfn pfn);
+  void clear(Pfn pfn);
   [[nodiscard]] bool test(Pfn pfn) const;
   void clear_all();
 

@@ -10,6 +10,7 @@
 #pragma once
 
 #include "common/types.h"
+#include "hypervisor/dirty_bitmap.h"
 
 #include <cstddef>
 #include <cstdint>
@@ -17,7 +18,6 @@
 #include <functional>
 #include <optional>
 #include <span>
-#include <unordered_set>
 
 namespace crimes {
 
@@ -37,9 +37,15 @@ class MemoryEventMonitor {
   // Ring capacity mirrors Xen's one-page event ring.
   static constexpr std::size_t kRingCapacity = 64;
 
-  void watch_page(Pfn pfn) { watched_.insert(pfn); }
-  void unwatch_page(Pfn pfn) { watched_.erase(pfn); }
-  void clear_watches() { watched_.clear(); }
+  // Both page sets below are one bit per guest page (32 KiB per GiB of
+  // guest each), sized by the owning Vm. Arming a PFN at or past the page
+  // count throws std::out_of_range; testing one reads as unarmed, so the
+  // write path's own bounds check (Vm::page) reports it.
+  explicit MemoryEventMonitor(std::size_t page_count)
+      : watched_(page_count), cow_protected_(page_count) {}
+
+  void watch_page(Pfn pfn) { watched_.mark(pfn); }
+  void clear_watches() { watched_.clear_all(); }
 
   void enable() { enabled_ = true; }
   void disable() {
@@ -50,7 +56,8 @@ class MemoryEventMonitor {
   [[nodiscard]] bool enabled() const { return enabled_; }
 
   [[nodiscard]] bool watches(Pfn pfn) const {
-    return enabled_ && watched_.contains(pfn);
+    return enabled_ && pfn.value() < watched_.page_count() &&
+           watched_.test(pfn);
   }
 
   // Called by the VM's access path. Returns true if the event was queued
@@ -75,33 +82,33 @@ class MemoryEventMonitor {
 
   void cow_protect(std::span<const Pfn> pfns, CowHandler handler) {
     cow_handler_ = std::move(handler);
-    cow_protected_.insert(pfns.begin(), pfns.end());
+    for (const Pfn pfn : pfns) cow_protected_.mark(pfn);
   }
-  void cow_unprotect(Pfn pfn) { cow_protected_.erase(pfn); }
   void cow_unprotect_all() {
-    cow_protected_.clear();
+    cow_protected_.clear_all();
     cow_handler_ = nullptr;
   }
+  // The live count of protected pages makes the unarmed case (every
+  // stop-copy epoch) a single compare per write.
   [[nodiscard]] bool cow_protected(Pfn pfn) const {
-    return !cow_protected_.empty() && cow_protected_.contains(pfn);
-  }
-  [[nodiscard]] std::size_t cow_pending() const {
-    return cow_protected_.size();
+    return cow_protected_.dirty_count() != 0 &&
+           pfn.value() < cow_protected_.page_count() &&
+           cow_protected_.test(pfn);
   }
   // Fires the first-touch handler for `pfn` and drops its protection.
   // Called by Vm::write_phys before the write's memcpy.
   void cow_fault(Pfn pfn) {
-    cow_protected_.erase(pfn);
+    cow_protected_.clear(pfn);
     if (cow_handler_) cow_handler_(pfn);
   }
 
  private:
   bool enabled_ = false;
-  std::unordered_set<Pfn> watched_;
+  DirtyBitmap watched_;
   std::deque<MemEvent> ring_;
   std::size_t dropped_ = 0;
   std::size_t delivered_ = 0;
-  std::unordered_set<Pfn> cow_protected_;
+  DirtyBitmap cow_protected_;
   CowHandler cow_handler_;
 };
 

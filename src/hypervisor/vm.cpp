@@ -21,7 +21,8 @@ Vm::Vm(DomainId id, std::string name, std::size_t page_count,
       name_(std::move(name)),
       machine_(machine),
       pfn_to_mfn_(page_count, Mfn::invalid()),
-      dirty_(page_count) {}
+      dirty_(page_count),
+      monitor_(page_count) {}
 
 Vm::~Vm() {
   if (state_ != VmState::Destroyed) {

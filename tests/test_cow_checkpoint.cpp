@@ -327,6 +327,50 @@ TEST(CowCheckpoint, FailoverMidDrainPromotesLastCommittedCheckpoint) {
   }
 }
 
+TEST(CowCheckpoint, TrapOutsideDirtySetIsIgnored) {
+  // The monitor can hold protections this drain never armed: a direct
+  // cow_protect by another caller, on a PFN whose slot-index entry is
+  // stale from an earlier epoch (7) or was never written (20). A trap on
+  // such a page must neither copy it into the backup nor count as a first
+  // touch; the drain's own pages still first-touch as usual.
+  Hypervisor hv(4096);
+  Vm& primary = hv.create_domain("primary", 64);
+  Vm& backup = hv.create_domain("backup", 64);
+  const CostModel costs = CostModel::defaults();
+  const CheckpointConfig config = CheckpointConfig::cow();
+  CowCheckpointer cow(hv, primary, backup, costs, config, nullptr);
+  const auto write = [&primary](std::size_t pfn, std::uint64_t value) {
+    primary.write_phys_value<std::uint64_t>(Paddr::from(Pfn{pfn}, 0), value);
+  };
+
+  write(7, 1);
+  write(9, 1);
+  (void)cow.protect({Pfn{7}, Pfn{9}}, primary.vcpu(), false, false);
+  ASSERT_TRUE(cow.complete(nullptr).committed);
+
+  write(9, 2);
+  primary.monitor().cow_protect(std::vector<Pfn>{Pfn{7}, Pfn{20}}, nullptr);
+  (void)cow.protect({Pfn{3}, Pfn{9}}, primary.vcpu(), false, false);
+  write(7, 3);
+  write(20, 3);
+  EXPECT_EQ(cow.first_touches(), 0u);
+  EXPECT_EQ(cow.pending_pages(), 2u);
+  EXPECT_FALSE(backup.is_backed(Pfn{20}));
+  write(9, 3);
+  EXPECT_EQ(cow.first_touches(), 1u);
+
+  const CowCommit commit = cow.complete(nullptr);
+  EXPECT_TRUE(commit.committed);
+  EXPECT_EQ(commit.first_touches, 1u);
+  EXPECT_EQ(commit.drained_pages, 1u);
+  const auto backed = [&backup](std::size_t pfn) {
+    return backup.read_phys_value<std::uint64_t>(Paddr::from(Pfn{pfn}, 0));
+  };
+  EXPECT_EQ(backed(7), 1u);  // epoch 1's copy, not the ignored trap's
+  EXPECT_EQ(backed(9), 2u);  // pre-write bytes of the first touch
+  EXPECT_FALSE(backup.is_backed(Pfn{20}));
+}
+
 TEST(CowCheckpoint, FusedDigestsMatchStoreDigests) {
   // The fused copy+hash must reproduce store::page_digest exactly -- the
   // store's dedup keys on it.
