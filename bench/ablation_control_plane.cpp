@@ -295,8 +295,7 @@ int main(int argc, char** argv) {
   // Same seed, same config => bitwise-identical control behaviour.
   const LegResult twin = run_leg(leg_config(millis(100), true, false));
   const bool deterministic =
-      twin.summary.epochs == diurnal_ctrl.summary.epochs &&
-      twin.summary.total_pause == diurnal_ctrl.summary.total_pause &&
+      twin.summary == diurnal_ctrl.summary &&
       same_decisions(twin.decisions, diurnal_ctrl.decisions);
   std::printf("same-seed determinism (epochs, pause, decision stream): %s\n",
               deterministic ? "PASS" : "FAIL");

@@ -174,20 +174,6 @@ ScenarioResult run_overload_scenario(std::uint64_t seed) {
   return out;
 }
 
-bool summaries_identical(const RunSummary& a, const RunSummary& b) {
-  return a.epochs == b.epochs && a.checkpoints == b.checkpoints &&
-         a.work_time == b.work_time && a.total_pause == b.total_pause &&
-         a.max_pause == b.max_pause &&
-         a.total_dirty_pages == b.total_dirty_pages &&
-         a.total_costs.copy == b.total_costs.copy &&
-         a.total_costs.suspend == b.total_costs.suspend &&
-         a.host_paused_epochs == b.host_paused_epochs &&
-         a.pause_histogram.count == b.pause_histogram.count &&
-         a.pause_histogram.sum == b.pause_histogram.sum &&
-         a.pause_histogram.max == b.pause_histogram.max &&
-         a.pause_histogram.buckets == b.pause_histogram.buckets;
-}
-
 void scenario_overload_storm() {
   std::printf("\n=== Scenario: flash crowd + noisy neighbour + correlated "
               "failover (overload_storm) ===\n");
@@ -250,7 +236,7 @@ void scenario_overload_storm() {
     deterministic = again.decisions[i] == r.decisions[i];
   }
   for (std::size_t i = 0; deterministic && i < r.totals.size(); ++i) {
-    deterministic = summaries_identical(again.totals[i], r.totals[i]);
+    deterministic = again.totals[i] == r.totals[i];
   }
   GATE(deterministic, "same-seed rerun is decision- and summary-identical");
 
@@ -303,8 +289,7 @@ void scenario_disabled_path() {
        "disabled path builds no arbiter, logs nothing, runs no host rounds");
   bool identical = ra.epochs_scheduled == rb.epochs_scheduled;
   for (std::size_t i = 0; identical && i < a_tenants.size(); ++i) {
-    identical =
-        summaries_identical(a_tenants[i]->totals(), b_tenants[i]->totals());
+    identical = a_tenants[i]->totals() == b_tenants[i]->totals();
   }
   GATE(identical, "disabled path byte-identical to the legacy host");
 }

@@ -33,7 +33,6 @@ import sys
 CONFIG_STRUCTS = [
     ("src/core/crimes.h", ["CrimesConfig"]),
     ("src/checkpoint/checkpointer.h", ["CheckpointConfig"]),
-    ("src/core/adaptive_interval.h", ["AdaptiveIntervalConfig"]),
     ("src/control/control_config.h", ["ControlConfig"]),
     ("src/replication/replication_config.h",
      ["HeartbeatConfig", "ReplicationConfig"]),

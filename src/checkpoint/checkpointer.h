@@ -180,6 +180,20 @@ struct PhaseCosts {
     return suspend + vmi + bitscan + map + copy + protect + resume + observe +
            control;
   }
+  PhaseCosts& operator+=(const PhaseCosts& other) {
+    suspend += other.suspend;
+    vmi += other.vmi;
+    bitscan += other.bitscan;
+    map += other.map;
+    copy += other.copy;
+    protect += other.protect;
+    resume += other.resume;
+    observe += other.observe;
+    control += other.control;
+    dirty_pages += other.dirty_pages;
+    return *this;
+  }
+  bool operator==(const PhaseCosts&) const = default;
 };
 
 struct AuditResult {

@@ -2,7 +2,6 @@
 
 #include "common/log.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace crimes {
@@ -15,64 +14,6 @@ std::size_t backed_pages(const Vm& vm) {
     if (vm.is_backed(Pfn{i})) ++n;
   }
   return n;
-}
-
-void accumulate(RunSummary& into, const RunSummary& slice) {
-  into.scheme = slice.scheme;
-  into.work_time += slice.work_time;
-  into.total_pause += slice.total_pause;
-  into.max_pause = std::max(into.max_pause, slice.max_pause);
-  // Histogram merge is exact: log2 buckets from disjoint slices sum to
-  // the histogram of the union (tests/test_observability.cpp holds the
-  // cloud host to this).
-  into.pause_histogram.merge_from(slice.pause_histogram);
-  into.epochs += slice.epochs;
-  into.checkpoints += slice.checkpoints;
-  into.attack_detected = into.attack_detected || slice.attack_detected;
-  into.total_costs.suspend += slice.total_costs.suspend;
-  into.total_costs.vmi += slice.total_costs.vmi;
-  into.total_costs.bitscan += slice.total_costs.bitscan;
-  into.total_costs.map += slice.total_costs.map;
-  into.total_costs.copy += slice.total_costs.copy;
-  into.total_costs.protect += slice.total_costs.protect;
-  into.total_costs.resume += slice.total_costs.resume;
-  into.total_costs.observe += slice.total_costs.observe;
-  into.total_costs.control += slice.total_costs.control;
-  into.total_costs.dirty_pages += slice.total_costs.dirty_pages;
-  into.total_dirty_pages += slice.total_dirty_pages;
-  into.checkpoint_failures += slice.checkpoint_failures;
-  into.copy_retries += slice.copy_retries;
-  into.faults_injected += slice.faults_injected;  // per-slice deltas
-  into.governor_downgrades += slice.governor_downgrades;
-  into.governor_upgrades += slice.governor_upgrades;
-  into.degraded_epochs += slice.degraded_epochs;
-  into.frozen_by_governor = into.frozen_by_governor ||
-                            slice.frozen_by_governor;
-  into.recovery_time += slice.recovery_time;
-  into.store_time += slice.store_time;
-  into.replication_stall += slice.replication_stall;
-  into.replicated_generations += slice.replicated_generations;
-  into.replication_dropped += slice.replication_dropped;
-  into.primary_killed = into.primary_killed || slice.primary_killed;
-  into.failed_over = into.failed_over || slice.failed_over;
-  into.failover_time += slice.failover_time;
-  if (slice.failed_over) {
-    into.promoted_generation = slice.promoted_generation;
-  }
-  into.generations_rolled_back += slice.generations_rolled_back;
-  into.outputs_discarded += slice.outputs_discarded;
-  into.fenced_epochs += slice.fenced_epochs;
-  into.slo_warn_epochs += slice.slo_warn_epochs;
-  into.slo_critical_epochs += slice.slo_critical_epochs;
-  into.postmortems_dumped += slice.postmortems_dumped;
-  into.control_cycles += slice.control_cycles;
-  into.control_adjustments += slice.control_adjustments;
-  into.control_holds += slice.control_holds;
-  into.control_full_sweeps += slice.control_full_sweeps;
-  into.host_paused_epochs += slice.host_paused_epochs;
-  // The quarantine list is cumulative within a Crimes instance; the latest
-  // slice's view is the complete one.
-  into.quarantined_modules = slice.quarantined_modules;
 }
 
 // What the capacity model needs to know about a policy, derived before
@@ -291,15 +232,14 @@ CloudRunReport CloudHost::run(Nanos work_time) {
         inputs.tenants.push_back(sample);
       }
       if (t->frozen_) continue;
-      // Slice by the interval currently in force: a control plane (or the
-      // adaptive controller) may have moved it away from the policy's
-      // static epoch_interval.
+      // Slice by the interval currently in force: a control plane may have
+      // moved it away from the policy's static epoch_interval.
       const Nanos interval = t->crimes().current_interval();
       if (t->totals_.work_time + interval > work_time) continue;
       if (t->workload_ != nullptr && t->workload_->finished()) continue;
 
       const RunSummary slice = t->crimes().run(interval);  // one epoch
-      accumulate(t->totals_, slice);
+      t->totals_.merge(slice);
       report.epochs_scheduled += slice.epochs;
       any_progress = any_progress || slice.epochs > 0;
 

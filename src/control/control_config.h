@@ -17,7 +17,7 @@ namespace crimes::control {
 // audit trail of why the system's configuration drifted from the static
 // CrimesConfig it booted with.
 enum class Knob : std::uint8_t {
-  EpochInterval,      // checkpoint cadence (subsumes AdaptiveIntervalController)
+  EpochInterval,      // checkpoint cadence
   ScanSchedule,       // full conservative sweep cadence (ScanPlanner bypass)
   ReplicationWindow,  // replication in-flight window (backpressure bound)
   GcBudget,           // store GC generations retired per epoch
@@ -42,7 +42,7 @@ struct ControlConfig {
   // deadband are ignored; after a move a knob rests for settle_cycles
   // control cycles; no single move changes a knob by more than a factor
   // of max_step. EWMA smoothing applied to the pause signal before the
-  // interval policy sees it (same role as AdaptiveIntervalConfig's).
+  // interval policy sees it (weight of the newest sample; 1 = no memory).
   double deadband = 0.15;
   std::size_t settle_cycles = 2;
   double max_step = 1.3;

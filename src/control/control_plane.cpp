@@ -194,8 +194,8 @@ void ControlPlane::policy_interval(const ControlInputs& in,
     proposal = cur / config_.max_step;
     reason = "vulnerability-over-budget";
   } else if (cur > 0) {
-    // Gradient toward the overhead-ideal interval (the adaptive
-    // controller's rule): pause/interval == target_overhead.
+    // Gradient toward the overhead-ideal interval, where
+    // pause/interval == target_overhead.
     const double ideal = smoothed_pause_ms_ / config_.target_overhead;
     const double err = (ideal - cur) / cur;
     if (std::abs(err) > config_.deadband) {

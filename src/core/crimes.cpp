@@ -39,6 +39,67 @@ PhaseCosts RunSummary::avg_costs() const {
   };
 }
 
+RunSummary& RunSummary::merge(const RunSummary& other) {
+  scheme = other.scheme;
+  work_time += other.work_time;
+  total_pause += other.total_pause;
+  max_pause = std::max(max_pause, other.max_pause);
+  epochs += other.epochs;
+  checkpoints += other.checkpoints;
+  attack_detected = attack_detected || other.attack_detected;
+  total_costs += other.total_costs;
+  total_dirty_pages += other.total_dirty_pages;
+  // Exact: log2 buckets from disjoint runs sum to the histogram of the
+  // union.
+  pause_histogram.merge_from(other.pause_histogram);
+
+  checkpoint_failures += other.checkpoint_failures;
+  copy_retries += other.copy_retries;
+  faults_injected += other.faults_injected;
+  governor_downgrades += other.governor_downgrades;
+  governor_upgrades += other.governor_upgrades;
+  degraded_epochs += other.degraded_epochs;
+  frozen_by_governor = frozen_by_governor || other.frozen_by_governor;
+  recovery_time += other.recovery_time;
+  // The quarantine list is cumulative within a Crimes instance; the latest
+  // run's view is the complete one.
+  quarantined_modules = other.quarantined_modules;
+  store_time += other.store_time;
+
+  cow_first_touches += other.cow_first_touches;
+  cow_drain_time += other.cow_drain_time;
+  cow_first_touch_time += other.cow_first_touch_time;
+  cow_commit_stall += other.cow_commit_stall;
+
+  replication_stall += other.replication_stall;
+  replicated_generations += other.replicated_generations;
+  replication_dropped += other.replication_dropped;
+  primary_killed = primary_killed || other.primary_killed;
+  failed_over = failed_over || other.failed_over;
+  // A Crimes instance fails over at most once.
+  failover_time += other.failover_time;
+  if (other.failed_over) promoted_generation = other.promoted_generation;
+  generations_rolled_back += other.generations_rolled_back;
+  outputs_discarded += other.outputs_discarded;
+  fenced_epochs += other.fenced_epochs;
+
+  tampers_detected += other.tampers_detected;
+  roots_verified += other.roots_verified;
+  promotions_refused += other.promotions_refused;
+
+  slo_warn_epochs += other.slo_warn_epochs;
+  slo_critical_epochs += other.slo_critical_epochs;
+  postmortems_dumped += other.postmortems_dumped;
+
+  control_cycles += other.control_cycles;
+  control_adjustments += other.control_adjustments;
+  control_holds += other.control_holds;
+  control_full_sweeps += other.control_full_sweeps;
+
+  host_paused_epochs += other.host_paused_epochs;
+  return *this;
+}
+
 Crimes::Crimes(Hypervisor& hypervisor, GuestKernel& kernel,
                CrimesConfig config, const CostModel& costs)
     : hypervisor_(&hypervisor),
@@ -159,14 +220,10 @@ void Crimes::initialize() {
   }
   detector_.set_audit_policy(config_.audit_policy);
   if (injector_) detector_.set_fault_injector(injector_.get());
-  if (config_.adaptive.enabled) {
-    adaptive_.emplace(config_.adaptive, config_.checkpoint.epoch_interval);
-  }
   if (telemetry_) {
     if (checkpointer_) checkpointer_->set_telemetry(telemetry_.get());
     detector_.set_telemetry(telemetry_.get());
     buffer_.set_telemetry(telemetry_.get());
-    if (adaptive_) adaptive_->set_telemetry(telemetry_.get());
     if (replicator_) replicator_->set_telemetry(telemetry_.get());
     telemetry_->enable_series(config_.timeseries);
   }
@@ -182,8 +239,7 @@ void Crimes::initialize() {
   }
   // Control plane: built last so it can see which actuators exist.
   // Policies for absent actuators (no replicator, no store, no scan
-  // modules) are disabled outright; the interval policy subsumes the
-  // adaptive controller (current_interval() prefers the plane).
+  // modules) are disabled outright.
   if (config_.control.enabled && config_.mode != SafetyMode::Disabled) {
     control::ControlConfig cc = config_.control;
     if (!replicator_) cc.manage_window = false;
@@ -196,11 +252,6 @@ void Crimes::initialize() {
         store != nullptr ? store->config().gc_generations_per_epoch : 0);
     control_->set_telemetry(telemetry_.get());
     full_sweep_every_ = control_->full_sweep_every();
-    if (adaptive_) {
-      CRIMES_LOG(Info, "control")
-          << "control plane enabled: its interval policy overrides the "
-             "adaptive controller";
-    }
   }
   initialized_ = true;
   CRIMES_LOG(Info, "crimes") << "initialized: mode="
@@ -246,6 +297,15 @@ AuditResult Crimes::run_audit(std::span<const Pfn> dirty, Nanos audit_start) {
 RunSummary Crimes::run(Nanos max_work_time) {
   if (!initialized_) throw std::logic_error("Crimes: initialize() first");
   if (workload_ == nullptr) throw std::logic_error("Crimes: no workload set");
+
+  // Cumulative counters at entry: the summary reports what this call
+  // added, so consecutive calls merge() without double counting.
+  const std::uint64_t faults_before =
+      injector_ ? injector_->total_injected() : 0;
+  const std::uint64_t tampers_before =
+      replicator_ ? replicator_->tampers_detected() : 0;
+  const std::uint64_t roots_before =
+      replicator_ ? replicator_->roots_verified() : 0;
 
   RunSummary summary;
   summary.scheme = config_.mode == SafetyMode::Disabled
@@ -350,19 +410,13 @@ RunSummary Crimes::run(Nanos max_work_time) {
           return run_audit(dirty, audit_start);
         });
 
-    summary.total_costs.suspend += epoch.costs.suspend;
-    summary.total_costs.vmi += epoch.costs.vmi;
-    summary.total_costs.bitscan += epoch.costs.bitscan;
-    summary.total_costs.map += epoch.costs.map;
-    summary.total_costs.copy += epoch.costs.copy;
-    summary.total_costs.protect += epoch.costs.protect;
-    summary.total_costs.resume += epoch.costs.resume;
-    summary.total_costs.dirty_pages += epoch.costs.dirty_pages;
+    // The checkpointer leaves observe and control at zero; Crimes charges
+    // them below.
+    summary.total_costs += epoch.costs;
     summary.total_dirty_pages += epoch.costs.dirty_pages;
     summary.copy_retries += epoch.copy_retries;
     summary.recovery_time += epoch.recovery_cost;
     summary.store_time += epoch.store_cost;
-    if (adaptive_) (void)adaptive_->observe(epoch.costs);
 
     // Epoch-boundary observability: flight-recorder events, time-series
     // sample, SLO evaluation. The (small) virtual cost lands inside the
@@ -479,13 +533,13 @@ RunSummary Crimes::run(Nanos max_work_time) {
   }
   summary.pause_histogram = pause_hist.snapshot();
   if (injector_) {
-    // Report the delta since the last run(): CloudHost sums per-slice
-    // summaries, so a cumulative total would be counted repeatedly.
-    summary.faults_injected = injector_->total_injected() - faults_reported_;
-    faults_reported_ = injector_->total_injected();
+    summary.faults_injected = injector_->total_injected() - faults_before;
   }
   summary.quarantined_modules = detector_.quarantined_modules();
-  collect_attestation(summary);
+  if (replicator_) {
+    summary.tampers_detected = replicator_->tampers_detected() - tampers_before;
+    summary.roots_verified = replicator_->roots_verified() - roots_before;
+  }
   verify_store_seals(summary);
   verify_journal(summary);
   return summary;
@@ -1070,16 +1124,6 @@ void Crimes::dump_postmortem(std::string_view reason, RunSummary& summary) {
   postmortems_.push_back(std::move(record));
 }
 
-void Crimes::collect_attestation(RunSummary& summary) {
-  if (!replicator_ || !replicator_->attested()) return;
-  // Per-slice deltas, like faults_injected: CloudHost sums summaries.
-  summary.tampers_detected +=
-      replicator_->tampers_detected() - tampers_reported_;
-  tampers_reported_ = replicator_->tampers_detected();
-  summary.roots_verified += replicator_->roots_verified() - roots_reported_;
-  roots_reported_ = replicator_->roots_verified();
-}
-
 void Crimes::verify_store_seals(RunSummary& summary) {
   if (!checkpointer_) return;
   store::CheckpointStore* store = checkpointer_->store();
@@ -1172,11 +1216,7 @@ std::string Crimes::config_summary() const {
 
 Nanos Crimes::current_interval() const {
   Nanos base = config_.checkpoint.epoch_interval;
-  if (control_) {
-    base = control_->interval();
-  } else if (adaptive_) {
-    base = adaptive_->interval();
-  }
+  if (control_) base = control_->interval();
   if (host_interval_scale_ != 1.0) {
     // Shed ladder rung 1: the host stretches epochs multiplicatively on
     // top of the tenant's own tuning, so the tenant's loop keeps steering.

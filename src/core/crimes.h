@@ -22,7 +22,6 @@
 #include "common/cost_model.h"
 #include "common/sim_clock.h"
 #include "control/control_plane.h"
-#include "core/adaptive_interval.h"
 #include "detect/detector.h"
 #include "fault/fault_injector.h"
 #include "fault/fault_plan.h"
@@ -73,10 +72,6 @@ struct CrimesConfig {
   // rootkits thorough enough to evade the cheap online scans, at the cost
   // of a detection lag of roughly the deep-scan duration. 0 = disabled.
   std::size_t async_deep_scan_every = 0;
-  // Extension: automate the paper's per-workload epoch-interval tuning
-  // (section 3.1). When enabled, the interval floats inside
-  // [min_interval, max_interval] tracking a target pause-overhead ratio.
-  AdaptiveIntervalConfig adaptive;
   // Telemetry layer: per-epoch phase spans (suspend/dirty_scan/audit/map/
   // copy/resume, scan:<module>, commit/rollback/replay, buffer_release) on
   // a TraceRecorder plus a MetricsRegistry of phase histograms, exportable
@@ -114,8 +109,9 @@ struct CrimesConfig {
   // Closed-loop control plane (src/control, DESIGN.md section 14). Off by
   // default -- no ControlPlane is built and the per-epoch path costs
   // nothing. When enabled it implies `telemetry` (the policies read
-  // windowed percentiles from the time-series engine) and subsumes
-  // `adaptive` (its interval policy wins over AdaptiveIntervalController).
+  // windowed percentiles from the time-series engine). Its interval
+  // policy automates the paper's per-workload epoch-interval tuning
+  // (section 3.1).
   control::ControlConfig control;
   // Postmortem destination: when non-empty, every dump also writes
   // `<dir>/<tenant>-<reason>-<epoch>.postmortem.json`. In-memory records
@@ -200,15 +196,16 @@ struct RunSummary {
   std::size_t fenced_epochs = 0;
 
   // --- Attested storage & replication (src/crypto, DESIGN.md section 15):
-  // all zero unless checkpoint.store.crypto is armed. Per-slice deltas,
-  // like faults_injected.
+  // all zero unless checkpoint.store.crypto is armed. Counted per run()
+  // call, like every counter here, so summaries of consecutive calls
+  // merge() into the summary of one longer call.
   std::uint64_t tampers_detected = 0;   // verify failures, any boundary
   std::uint64_t roots_verified = 0;     // attestation root checks that ran
   std::size_t promotions_refused = 0;   // failovers vetoed by the chain
 
   // --- Observability (src/telemetry, DESIGN.md section 13): epochs the
   // SLO monitor spent in each degraded health state, and postmortems the
-  // flight recorder froze. Per-slice counts, like faults_injected.
+  // flight recorder froze.
   std::size_t slo_warn_epochs = 0;
   std::size_t slo_critical_epochs = 0;
   std::size_t postmortems_dumped = 0;
@@ -253,6 +250,15 @@ struct RunSummary {
     return static_cast<double>(pause_histogram.p99()) / 1e6;
   }
   [[nodiscard]] PhaseCosts avg_costs() const;
+
+  // Folds the summary of a later run() call on the same Crimes instance
+  // into this one: counters and times add, flags OR, max_pause and the
+  // histogram merge exactly, and the latest call's scheme, promoted
+  // generation and quarantine list win. N one-epoch calls merge to the
+  // summary of one N-epoch call (tests/test_summary_merge.cpp).
+  RunSummary& merge(const RunSummary& other);
+
+  bool operator==(const RunSummary&) const = default;
 };
 
 class Crimes {
@@ -303,12 +309,8 @@ class Crimes {
   [[nodiscard]] const CrimesConfig& config() const { return config_; }
   [[nodiscard]] GuestKernel& kernel() { return *kernel_; }
   // The epoch interval currently in force (differs from the configured one
-  // only when the control plane or adaptive tuning is enabled; the control
-  // plane's interval policy wins when both are on).
+  // only when the control plane or the host's shed ladder moved it).
   [[nodiscard]] Nanos current_interval() const;
-  [[nodiscard]] std::size_t interval_adjustments() const {
-    return adaptive_ ? adaptive_->adjustments() : 0;
-  }
   // The control plane, or nullptr when CrimesConfig::control is off.
   [[nodiscard]] control::ControlPlane* control_plane() {
     return control_.get();
@@ -344,8 +346,8 @@ class Crimes {
   // whose governor is non-Normal.
   //
   // Rung 1: stretch (or restore, scale=1.0) the epoch interval. Applied
-  // multiplicatively on top of whatever the control plane / adaptive
-  // controller decided, so the tenant's own loop keeps steering.
+  // multiplicatively on top of whatever the control plane decided, so the
+  // tenant's own loop keeps steering.
   void set_host_interval_scale(double scale) { host_interval_scale_ = scale; }
   [[nodiscard]] double host_interval_scale() const {
     return host_interval_scale_;
@@ -472,9 +474,6 @@ class Crimes {
   // page and re-verify the attestation chain at the store boundary. Every
   // detection becomes flight-recorder evidence and a postmortem.
   void verify_store_seals(RunSummary& summary);
-  // Folds the replicator's attestation counters into the summary (and the
-  // flight recorder, once per detection).
-  void collect_attestation(RunSummary& summary);
   void analyze_malware(forensics::ForensicReport& report,
                        const MemoryDump& clean, const MemoryDump& bad,
                        const Finding& finding);
@@ -496,7 +495,6 @@ class Crimes {
   std::unique_ptr<VmiSession> vmi_;
   std::unique_ptr<Checkpointer> checkpointer_;
   std::unique_ptr<ReplayEngine> replay_;
-  std::optional<AdaptiveIntervalController> adaptive_;
   std::unique_ptr<telemetry::Telemetry> telemetry_;
 
   // Control plane (persists across run() slices like the governor: knob
@@ -522,7 +520,6 @@ class Crimes {
   std::optional<fault::SafetyGovernor> governor_;
   SafetyMode active_mode_ = SafetyMode::Synchronous;
   std::size_t epoch_index_ = 0;
-  std::uint64_t faults_reported_ = 0;  // injector total already summarized
 
   // Host-arbiter state (persists across run() slices like the governor's;
   // all inert at defaults -- the no-CloudHost path never reads past them).
@@ -540,11 +537,8 @@ class Crimes {
     return host_gc_cap_ == 0 ? budget : std::min(budget, host_gc_cap_);
   }
 
-  // Attestation accounting (per-slice deltas, like faults_reported_), plus
-  // the flight-recorder's high-water mark so each detection is recorded as
-  // evidence exactly once.
-  std::uint64_t tampers_reported_ = 0;
-  std::uint64_t roots_reported_ = 0;
+  // The flight-recorder's high-water mark of replication tampers, so each
+  // detection is recorded as evidence exactly once.
   std::uint64_t tamper_events_logged_ = 0;
   bool promotion_refused_ = false;  // chain veto is final for this standby
 

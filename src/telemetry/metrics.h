@@ -6,7 +6,7 @@
 // epoch* blew that budget, so the hot path records into these cells:
 //
 //   Counter    monotonic event count (epochs, packets, audit failures)
-//   Gauge      last-written value (current adaptive interval)
+//   Gauge      last-written value (current control-plane interval)
 //   Histogram  fixed log2-bucket distribution with p50/p95/p99/max
 //
 // Everything is lock-free on the record path (relaxed atomics), so the
@@ -90,6 +90,8 @@ struct HistogramSnapshot {
   // p50/p95/p99 are built from.
   [[nodiscard]] HistogramSnapshot delta_since(
       const HistogramSnapshot& earlier) const;
+
+  bool operator==(const HistogramSnapshot&) const = default;
 };
 
 // Fixed-bucket log2 histogram. Bucket 0 holds the value 0; bucket i >= 1

@@ -91,6 +91,120 @@ TEST(ControlPlane, IntervalClampSaturatesAtBothEnds) {
   EXPECT_EQ(high.adjustments(), pinned_high);
 }
 
+// The interval policy alone: every other policy off.
+control::ControlConfig interval_only() {
+  control::ControlConfig cc;
+  cc.enabled = true;
+  cc.manage_scan = false;
+  cc.manage_window = false;
+  cc.manage_gc = false;
+  return cc;
+}
+
+// Feeds `cycles` control cycles of a constant per-epoch pause.
+void observe_cycles(control::ControlPlane& plane,
+                    const control::ControlConfig& cc, std::size_t cycles,
+                    double pause_ms, std::uint64_t& epoch) {
+  for (std::size_t i = 0; i < cycles * cc.cycle_every; ++i) {
+    (void)plane.observe(inputs_at(plane, ++epoch, pause_ms));
+  }
+}
+
+TEST(ControlPlane, IntervalGrowsWhenOverheadAboveTarget) {
+  const control::ControlConfig cc = interval_only();
+  control::ControlPlane plane(cc, CostModel::defaults(), loose_targets(),
+                              millis(50), 0, 0);
+  // 10 ms pause on a 50 ms epoch = 20% overhead >> 5% target.
+  std::uint64_t epoch = 0;
+  observe_cycles(plane, cc, 1, 10.0, epoch);
+  EXPECT_GT(plane.interval(), millis(50));
+  EXPECT_LE(to_ms(plane.interval()), 50.0 * cc.max_step + 1e-6);
+}
+
+TEST(ControlPlane, UnmanagedIntervalStaysPut) {
+  control::ControlConfig cc = interval_only();
+  cc.manage_interval = false;
+  control::ControlPlane plane(cc, CostModel::defaults(), loose_targets(),
+                              millis(100), 0, 0);
+  std::uint64_t epoch = 0;
+  observe_cycles(plane, cc, 4, 50.0, epoch);
+  EXPECT_EQ(plane.interval(), millis(100));
+  EXPECT_EQ(plane.adjustments(), 0u);
+}
+
+TEST(ControlPlane, IntervalShrinksWhenOverheadBelowTarget) {
+  const control::ControlConfig cc = interval_only();
+  control::ControlPlane plane(cc, CostModel::defaults(), loose_targets(),
+                              millis(200), 0, 0);
+  // 1 ms pause on 200 ms = 0.5% overhead: far below target; shrink.
+  std::uint64_t epoch = 0;
+  observe_cycles(plane, cc, 1, 1.0, epoch);
+  EXPECT_LT(plane.interval(), millis(200));
+  EXPECT_GE(to_ms(plane.interval()), 200.0 / cc.max_step - 1e-6);
+}
+
+TEST(ControlPlane, IntervalRespectsClampWindow) {
+  control::ControlConfig cc = interval_only();
+  cc.min_interval = millis(40);
+  cc.max_interval = millis(120);
+  control::ControlPlane plane(cc, CostModel::defaults(), loose_targets(),
+                              millis(100), 0, 0);
+  std::uint64_t epoch = 0;
+  observe_cycles(plane, cc, 40, 100.0, epoch);
+  EXPECT_EQ(plane.interval(), millis(120));
+  observe_cycles(plane, cc, 40, 0.01, epoch);
+  EXPECT_EQ(plane.interval(), millis(40));
+}
+
+TEST(ControlPlane, IntervalSettlesInsideDeadbandForConstantPause) {
+  control::ControlConfig cc = interval_only();
+  cc.target_overhead = 0.10;
+  cc.min_interval = millis(10);
+  cc.max_interval = millis(500);
+  control::ControlPlane plane(cc, CostModel::defaults(), loose_targets(),
+                              millis(20), 0, 0);
+  std::uint64_t epoch = 0;
+  observe_cycles(plane, cc, 50, 5.0, epoch);
+  // 5 ms pause at a 10% target => a 50 ms ideal; the policy stops once
+  // the relative error to it is inside the deadband, and stays put.
+  const double ideal_ms = 5.0 / cc.target_overhead;
+  EXPECT_GE(to_ms(plane.interval()), ideal_ms / (1.0 + cc.deadband));
+  EXPECT_LE(to_ms(plane.interval()), ideal_ms / (1.0 - cc.deadband));
+  const std::size_t settled = plane.adjustments();
+  EXPECT_GT(settled, 0u);
+  observe_cycles(plane, cc, 20, 5.0, epoch);
+  EXPECT_EQ(plane.adjustments(), settled);
+}
+
+TEST(ControlPlane, IntervalOnlyCrimesIntegrationTunesTheEpoch) {
+  TestGuest guest;
+  CrimesConfig config;
+  config.checkpoint = CheckpointConfig::full(millis(20));
+  config.record_execution = false;
+  config.control = interval_only();
+  config.control.target_overhead = 0.02;  // strict: forces adjustments
+  config.control.min_interval = millis(20);
+  config.control.max_interval = millis(200);
+  Crimes crimes(guest.hypervisor, *guest.kernel, config);
+
+  ParsecProfile profile = ParsecProfile::by_name("raytrace");
+  profile.working_set_pages = 512;
+  profile.touches_per_ms = 30.0;
+  profile.duration_ms = 2000.0;
+  ParsecWorkload app(*guest.kernel, profile);
+  crimes.set_workload(&app);
+  crimes.initialize();
+  EXPECT_EQ(crimes.current_interval(), millis(20));
+
+  const RunSummary summary = crimes.run(millis(3000));
+  EXPECT_GT(summary.control_adjustments, 0u);
+  EXPECT_GT(crimes.current_interval(), millis(20));
+  for (const control::ControlDecision& d :
+       crimes.control_plane()->decisions()) {
+    EXPECT_EQ(d.knob, control::Knob::EpochInterval);
+  }
+}
+
 TEST(ControlPlane, WindowClampSaturatesAtBothEnds) {
   const CostModel& costs = CostModel::defaults();
   control::ControlConfig cc = tight_config();

@@ -232,5 +232,24 @@ TEST(GuestKernel, DoubleBootRejected) {
   EXPECT_THROW(guest.kernel->boot(), std::logic_error);
 }
 
+TEST(GuestSyscall, DispatchReflectsHijack) {
+  TestGuest guest;
+  const auto clean = guest.kernel->invoke_syscall(5, 0xFEED);
+  EXPECT_FALSE(clean.hijacked);
+  EXPECT_EQ(clean.retval, 5u);
+  EXPECT_EQ(clean.handler, guest.kernel->pristine_syscall_handler(5));
+
+  // Hijack with a handler pointing into attacker-controlled heap.
+  const Vaddr rogue = guest.kernel->heap().malloc(64);
+  guest.kernel->attack_hijack_syscall(5, rogue);
+  const auto owned = guest.kernel->invoke_syscall(5, 0xFEED);
+  EXPECT_TRUE(owned.hijacked);
+  EXPECT_EQ(owned.handler, rogue);
+  // Behavioural evidence: the hook siphoned the argument.
+  EXPECT_EQ(guest.kernel->read_value<std::uint64_t>(rogue), 0xFEEDu);
+  // Other syscalls are unaffected.
+  EXPECT_FALSE(guest.kernel->invoke_syscall(6, 1).hijacked);
+}
+
 }  // namespace
 }  // namespace crimes

@@ -456,27 +456,8 @@ TEST(Host, ShedNeighbourRunSummaryByteIdenticalToSoloRun) {
 
   // Cross-tenant interference is host-side accounting only: the
   // neighbour's own RunSummary is byte-identical to the solo run.
-  const RunSummary& shared = s.neighbour->totals();
-  const RunSummary& ref = alone.totals();
-  EXPECT_EQ(shared.epochs, ref.epochs);
-  EXPECT_EQ(shared.checkpoints, ref.checkpoints);
-  EXPECT_EQ(shared.work_time, ref.work_time);
-  EXPECT_EQ(shared.total_pause, ref.total_pause);
-  EXPECT_EQ(shared.max_pause, ref.max_pause);
-  EXPECT_EQ(shared.total_dirty_pages, ref.total_dirty_pages);
-  EXPECT_EQ(shared.total_costs.suspend, ref.total_costs.suspend);
-  EXPECT_EQ(shared.total_costs.copy, ref.total_costs.copy);
-  EXPECT_EQ(shared.total_costs.bitscan, ref.total_costs.bitscan);
-  EXPECT_EQ(shared.total_costs.map, ref.total_costs.map);
-  EXPECT_EQ(shared.total_costs.protect, ref.total_costs.protect);
-  EXPECT_EQ(shared.total_costs.resume, ref.total_costs.resume);
-  EXPECT_EQ(shared.host_paused_epochs, 0u);
-  const telemetry::HistogramSnapshot& ha = shared.pause_histogram;
-  const telemetry::HistogramSnapshot& hb = ref.pause_histogram;
-  EXPECT_EQ(ha.count, hb.count);
-  EXPECT_EQ(ha.sum, hb.sum);
-  EXPECT_EQ(ha.max, hb.max);
-  EXPECT_EQ(ha.buckets, hb.buckets);
+  EXPECT_TRUE(s.neighbour->totals() == alone.totals());
+  EXPECT_EQ(s.neighbour->totals().host_paused_epochs, 0u);
 }
 
 TEST(Host, PauseProtectionSkipsPipelineAndResumes) {

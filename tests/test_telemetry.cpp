@@ -511,7 +511,7 @@ TEST(Export, ChromeTraceParsesBackWithAllSpans) {
 TEST(Export, MetricsJsonlParsesBackLineByLine) {
   MetricsRegistry reg;
   reg.counter("checkpoint.epochs").add(10);
-  reg.gauge("adaptive.interval_ms").set(50.0);
+  reg.gauge("control.interval_ms").set(50.0);
   Histogram& h = reg.histogram("phase.copy");
   for (int i = 0; i < 100; ++i) h.record(1000);
 
@@ -775,32 +775,6 @@ TEST(StoreDisabledPath, EnabledStoreDoesAllocateForItsManifests) {
   }
   const std::uint64_t after = g_heap_allocs.load(std::memory_order_relaxed);
   EXPECT_GT(after, before);
-}
-
-TEST(TelemetryE2E, AdaptiveControllerPublishesGauges) {
-  testing::TestGuest guest;
-  CrimesConfig config;
-  config.checkpoint = CheckpointConfig::full(millis(50));
-  config.telemetry = true;
-  config.adaptive.enabled = true;
-  config.adaptive.min_interval = millis(20);
-  config.adaptive.max_interval = millis(200);
-  Crimes crimes(guest.hypervisor, *guest.kernel, config);
-
-  ParsecProfile profile = ParsecProfile::by_name("raytrace");
-  profile.working_set_pages = 256;
-  profile.touches_per_ms = 4.0;
-  profile.duration_ms = 400.0;
-  ParsecWorkload app(*guest.kernel, profile);
-  crimes.set_workload(&app);
-  crimes.initialize();
-  (void)crimes.run(millis(1000));
-
-  telemetry::Telemetry* tel = crimes.telemetry();
-  ASSERT_NE(tel, nullptr);
-  EXPECT_GT(tel->metrics.gauge("adaptive.interval_ms").value(), 0.0);
-  EXPECT_DOUBLE_EQ(tel->metrics.gauge("adaptive.interval_ms").value(),
-                   to_ms(crimes.current_interval()));
 }
 
 // --- Logger hardening -------------------------------------------------------

@@ -224,5 +224,18 @@ TEST(Overflow, BenignPhaseNeverTripsCanaries) {
   }
 }
 
+TEST(WrkStats, PercentilesFromSamples) {
+  WrkStats stats;
+  for (int i = 1; i <= 100; ++i) {
+    stats.samples.push_back(millis(i));
+  }
+  EXPECT_NEAR(stats.percentile_ms(0), 1.0, 0.01);
+  EXPECT_NEAR(stats.percentile_ms(50), 50.5, 1.0);
+  EXPECT_NEAR(stats.percentile_ms(99), 99.01, 1.0);
+  EXPECT_NEAR(stats.percentile_ms(100), 100.0, 0.01);
+  WrkStats empty;
+  EXPECT_DOUBLE_EQ(empty.percentile_ms(50), 0.0);
+}
+
 }  // namespace
 }  // namespace crimes
