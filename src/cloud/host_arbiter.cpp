@@ -103,7 +103,6 @@ void HostArbiter::decide(std::uint64_t round, std::uint32_t tenant,
   if (decisions_.size() >= config_.decision_capacity &&
       !decisions_.empty()) {
     decisions_.erase(decisions_.begin());
-    ++decisions_dropped_;
   }
   decisions_.push_back(HostDecision{round, tenant, action, from, to, reason});
   ++made;

@@ -152,7 +152,6 @@ class HostArbiter {
   std::size_t calm_rounds_ = 0;
   double pressure_ = 0.0;
   std::size_t rounds_ = 0;
-  std::size_t decisions_dropped_ = 0;
 
   // Replay fuel: input ring, oldest overwritten (ControlPlane's pattern).
   std::vector<HostInputs> inputs_;

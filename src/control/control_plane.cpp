@@ -146,7 +146,6 @@ void ControlPlane::decide(const ControlInputs& in, Knob knob, double from,
   if (decisions_.size() >= config_.decision_capacity &&
       !decisions_.empty()) {
     decisions_.erase(decisions_.begin());
-    ++decisions_dropped_;
   }
   decisions_.push_back(
       ControlDecision{in.epoch, knob, from, to, predicted_ms, reason});

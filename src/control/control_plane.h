@@ -151,7 +151,6 @@ class ControlPlane {
   std::size_t cycles_ = 0;
   std::size_t holds_ = 0;
   std::size_t adjustments_ = 0;
-  std::size_t decisions_dropped_ = 0;
 
   // Replay fuel: input ring, oldest overwritten.
   std::vector<ControlInputs> inputs_;

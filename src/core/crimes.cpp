@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <stdexcept>
 #include <unordered_set>
+#include <utility>
 
 namespace crimes {
 
@@ -389,10 +390,7 @@ RunSummary Crimes::run(Nanos max_work_time) {
     // Commit barrier for the previous epoch's speculative CoW drain: it
     // overlapped with the epoch that just executed, so by now it is
     // usually done and the barrier stalls only on the remainder.
-    if (cow_stash_.active && !finish_cow_commit(summary)) {
-      summary.frozen_by_governor = true;
-      break;
-    }
+    if (cow_stash_.active && !settle_cow_stash(summary)) break;
 
     // Shed ladder rung 3 (host_pause_protection): the epoch executed, but
     // the checkpoint/audit pipeline is skipped entirely. Synchronous
@@ -447,9 +445,16 @@ RunSummary Crimes::run(Nanos max_work_time) {
       // its pending writes the same way, so the (audited) disk state
       // commits here; a later drain failure keeps the packets held but
       // accepts this epoch's disk writes -- the documented tradeoff.
+      // Degraded to Best Effort, the buffer holds only packets that were
+      // sent before the downgrade and audited just now: like stop-copy,
+      // they leave at once, ahead of the next epoch's direct sends.
       cow_stash_.active = true;
       cow_stash_.epoch = epoch;
-      cow_stash_.held = buffer_.take_all();
+      if (active_mode_ == SafetyMode::Synchronous) {
+        cow_stash_.held = buffer_.take_all();
+      } else {
+        buffer_.release_all(network_, clock_.now());
+      }
       cow_stash_.resume_at = clock_.now();
       cow_stash_.epoch_start = epoch_start;
       disk_.commit_pending();
@@ -457,69 +462,16 @@ RunSummary Crimes::run(Nanos max_work_time) {
       continue;
     }
 
-    if (epoch.audit_passed) {
-      if (epoch.checkpoint_committed) {
-        ++summary.checkpoints;
-        // Commit the speculative epoch: outputs may now leave the host --
-        // immediately when unreplicated; once the standby acknowledges
-        // (and the fencing lease still holds) when replication is on.
-        {
-          CRIMES_TRACE_SPAN(trace, "commit");
-          if (replicator_) {
-            replicate_commit(epoch, summary, buffer_.take_all());
-          } else {
-            CRIMES_TRACE_SPAN(trace, "buffer_release");
-            buffer_.release_all(network_, clock_.now());
-          }
-          disk_.commit_pending();
-          disk_checkpoint_ = disk_.snapshot_committed();
-        }
-      } else {
-        // The copy/verify loop exhausted its retries: the backup was
-        // restored to the previous clean checkpoint, the dirty bitmap was
-        // retained (the next epoch's checkpoint carries these pages), and
-        // -- in Synchronous mode -- the audited outputs stay held until a
-        // checkpoint actually covers them. Best Effort already shipped.
-        ++summary.checkpoint_failures;
-        dump_postmortem("checkpoint-retries-exhausted", summary);
-      }
-
-      if (governor_ &&
-          apply_governor_action(governor_->on_epoch(epoch.checkpoint_committed),
-                                summary)) {
-        summary.frozen_by_governor = true;
-        break;
-      }
-      if (governor_ &&
-          governor_->state() == fault::GovernorState::Degraded) {
-        ++summary.degraded_epochs;
-      }
-      if (!epoch.checkpoint_committed) continue;
-
-      // Async deep-scan extension: completed scans may surface evidence
-      // the online modules missed; due scans are launched on the fresh
-      // backup.
-      if (async_scan_ && clock_.now() >= async_scan_->ready_at) {
-        if (!async_scan_->findings.empty()) {
-          last_findings_ = std::move(async_scan_->findings);
-          async_scan_.reset();
-          summary.attack_detected = true;
-          kernel_->vm().pause();
-          respond(epoch, epoch_start);
-          break;
-        }
-        async_scan_.reset();
-      }
-      if (config_.async_deep_scan_every != 0 && !async_scan_ &&
-          summary.epochs % config_.async_deep_scan_every == 0) {
-        launch_async_deep_scan();
-      }
-    } else {
+    if (!epoch.audit_passed) {
       // Zero-window guarantee: nothing from the poisoned epoch escapes.
       buffer_.drop_all();
       disk_.drop_pending();
       summary.attack_detected = true;
       respond(epoch, epoch_start);
+      break;
+    }
+    if (!settle_epoch(epoch, epoch.checkpoint_committed, epoch_start,
+                      summary)) {
       break;
     }
   }
@@ -529,7 +481,7 @@ RunSummary Crimes::run(Nanos max_work_time) {
     // half-committed backup. The synthetic epoch span keeps the barrier's
     // commit/release spans under an epoch, like every other one.
     CRIMES_TRACE_SPAN(trace, "epoch");
-    if (!finish_cow_commit(summary)) summary.frozen_by_governor = true;
+    (void)settle_cow_stash(summary);
   }
   summary.pause_histogram = pause_hist.snapshot();
   if (injector_) {
@@ -557,10 +509,10 @@ bool Crimes::apply_governor_action(fault::SafetyGovernor::Action action,
       // held passed its audit -- releasing it is exactly Best Effort
       // semantics (audited, not checkpoint-covered).
       ++summary.governor_downgrades;
-      buffer_.release_all(network_, clock_.now());
       if (replicator_ != nullptr) {
         // Ack-gated outputs stop waiting too -- Best Effort semantics --
         // but fencing still rules: an invalid lease discards, never ships.
+        // They belong to older epochs than the buffer's, so they go first.
         if (lease_.valid(clock_.now())) {
           for (auto& entry : pending_release_) {
             for (auto& packet : entry.packets) {
@@ -572,6 +524,7 @@ bool Crimes::apply_governor_action(fault::SafetyGovernor::Action action,
           discard_pending_outputs(summary);
         }
       }
+      buffer_.release_all(network_, clock_.now());
       disk_.commit_pending();
       apply_output_mode(SafetyMode::BestEffort);
       if (telemetry_) {
@@ -639,15 +592,74 @@ bool Crimes::apply_governor_action(fault::SafetyGovernor::Action action,
   return false;
 }
 
-bool Crimes::finish_cow_commit(RunSummary& summary) {
+bool Crimes::settle_epoch(const EpochResult& epoch, bool committed,
+                          Nanos epoch_start, RunSummary& summary) {
   telemetry::TraceRecorder* trace =
       telemetry_ ? &telemetry_->trace : nullptr;
+  if (committed) {
+    ++summary.checkpoints;
+    // Commit the speculative epoch: outputs may now leave the host --
+    // immediately when unreplicated; once the standby acknowledges (and
+    // the fencing lease still holds) when replication is on.
+    CRIMES_TRACE_SPAN(trace, "commit");
+    if (replicator_) {
+      replicate_commit(epoch, summary, buffer_.take_all());
+    } else {
+      CRIMES_TRACE_SPAN(trace, "buffer_release");
+      buffer_.release_all(network_, clock_.now());
+    }
+    // A CoW epoch's disk state committed at protect time (the stash site).
+    if (!epoch.cow_pending) {
+      disk_.commit_pending();
+      disk_checkpoint_ = disk_.snapshot_committed();
+    }
+  } else {
+    // The copy/verify loop exhausted its retries: the backup was restored
+    // to the previous clean checkpoint, the dirty set was retained (the
+    // next checkpoint carries these pages), and -- in Synchronous mode --
+    // the audited outputs stay held until a checkpoint actually covers
+    // them. Best Effort already shipped.
+    ++summary.checkpoint_failures;
+    dump_postmortem("checkpoint-retries-exhausted", summary);
+  }
+
+  if (governor_) {
+    if (apply_governor_action(governor_->on_epoch(committed), summary)) {
+      summary.frozen_by_governor = true;
+      return false;
+    }
+    if (governor_->state() == fault::GovernorState::Degraded) {
+      ++summary.degraded_epochs;
+    }
+  }
+  if (!committed) return true;
+
+  // Async deep-scan extension: completed scans may surface evidence the
+  // online modules missed; due scans are launched on the fresh backup.
+  // Keyed on the instance's epoch count, so one-epoch run() slices launch
+  // them too.
+  if (async_scan_ && clock_.now() >= async_scan_->ready_at) {
+    if (!async_scan_->findings.empty()) {
+      last_findings_ = std::move(async_scan_->findings);
+      async_scan_.reset();
+      summary.attack_detected = true;
+      kernel_->vm().pause();
+      respond(epoch, epoch_start);
+      return false;
+    }
+    async_scan_.reset();
+  }
+  if (config_.async_deep_scan_every != 0 && !async_scan_ &&
+      epoch_index_ % config_.async_deep_scan_every == 0) {
+    launch_async_deep_scan();
+  }
+  return true;
+}
+
+bool Crimes::settle_cow_stash(RunSummary& summary) {
   const CowCommit commit =
       checkpointer_->complete_cow_drain(cow_stash_.resume_at);
-  EpochResult epoch = std::move(cow_stash_.epoch);
-  std::vector<Packet> held = std::move(cow_stash_.held);
-  const Nanos epoch_start = cow_stash_.epoch_start;
-  cow_stash_ = {};
+  CowStash stash = std::exchange(cow_stash_, {});
 
   summary.cow_first_touches += commit.first_touches;
   summary.cow_drain_time += commit.drain_cost;
@@ -658,63 +670,15 @@ bool Crimes::finish_cow_commit(RunSummary& summary) {
   summary.store_time += commit.store_cost;
 
   // The buffer currently holds the *still unaudited* packets of the epoch
-  // that overlapped the drain. Set them aside: commit releases (and a
-  // governor downgrade would release) audited outputs only.
+  // that overlapped the drain. Set them aside and settle the stashed
+  // epoch's audited outputs alone; they stay ahead of the overlapping
+  // epoch's packets whether they leave now or stay held.
   std::vector<Packet> unaudited = buffer_.take_all();
-
-  if (commit.committed) {
-    ++summary.checkpoints;
-    CRIMES_TRACE_SPAN(trace, "commit");
-    if (replicator_) {
-      replicate_commit(epoch, summary, std::move(held));
-    } else {
-      CRIMES_TRACE_SPAN(trace, "buffer_release");
-      for (auto& packet : held) {
-        network_.deliver(std::move(packet), clock_.now());
-      }
-    }
-    // Disk state was committed at protect time (see the stash site).
-  } else {
-    // The drain exhausted its retries: the backup was restored untorn and
-    // the dirty set re-marked. The epoch's outputs stay held -- into the
-    // (momentarily empty) buffer first, so they precede the overlapping
-    // epoch's packets when a later checkpoint finally covers them.
-    ++summary.checkpoint_failures;
-    for (auto& packet : held) buffer_.hold(std::move(packet));
-    dump_postmortem("checkpoint-retries-exhausted", summary);
-  }
-
-  bool frozen = false;
-  if (governor_ &&
-      apply_governor_action(governor_->on_epoch(commit.committed), summary)) {
-    frozen = true;
-  }
-  if (governor_ && governor_->state() == fault::GovernorState::Degraded) {
-    ++summary.degraded_epochs;
-  }
+  for (auto& packet : stash.held) buffer_.hold(std::move(packet));
+  const bool go_on =
+      settle_epoch(stash.epoch, commit.committed, stash.epoch_start, summary);
   for (auto& packet : unaudited) buffer_.hold(std::move(packet));
-  if (frozen) return false;
-
-  // Async deep-scan extension rides committed epochs, like the stop-copy
-  // path.
-  if (commit.committed) {
-    if (async_scan_ && clock_.now() >= async_scan_->ready_at) {
-      if (!async_scan_->findings.empty()) {
-        last_findings_ = std::move(async_scan_->findings);
-        async_scan_.reset();
-        summary.attack_detected = true;
-        kernel_->vm().pause();
-        respond(epoch, epoch_start);
-        return false;
-      }
-      async_scan_.reset();
-    }
-    if (config_.async_deep_scan_every != 0 && !async_scan_ &&
-        summary.epochs % config_.async_deep_scan_every == 0) {
-      launch_async_deep_scan();
-    }
-  }
-  return true;
+  return go_on;
 }
 
 void Crimes::replicate_commit(const EpochResult& epoch, RunSummary& summary,

@@ -433,11 +433,20 @@ class Crimes {
                                                action,
                                            RunSummary& summary);
   void respond(const EpochResult& epoch, Nanos epoch_start);
+  // The one commit path for an audited epoch, stop-copy or CoW (DESIGN.md
+  // section 12 item 4). The buffer holds audited outputs only (the epoch's
+  // and any a failed checkpoint left held): on commit they leave (or queue
+  // behind the standby's ack), on a failed checkpoint they stay held; then
+  // the governor acts and the async deep scan is consumed or launched.
+  // Returns false when the run must stop, with the reason (governor
+  // freeze, attack) in `summary`.
+  [[nodiscard]] bool settle_epoch(const EpochResult& epoch, bool committed,
+                                  Nanos epoch_start, RunSummary& summary);
   // Commit barrier for the speculative CoW drain stashed by the previous
-  // epoch: completes the drain (overlapped with the epoch that just ran),
-  // releases or re-holds the stashed outputs, and feeds the governor.
-  // Returns false when the governor froze the pipeline.
-  [[nodiscard]] bool finish_cow_commit(RunSummary& summary);
+  // epoch: completes the drain (overlapped with the epoch that just ran)
+  // and settles the stashed epoch with the overlapping epoch's unaudited
+  // packets set aside. Returns settle_epoch's verdict.
+  [[nodiscard]] bool settle_cow_stash(RunSummary& summary);
   // Replication helpers (all no-ops unless the replicator exists). `held`
   // is the committed epoch's output set (captured at protect time on the
   // CoW path, so the draining epoch's packets never mix with the next

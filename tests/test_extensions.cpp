@@ -114,15 +114,6 @@ TEST(DiskSnapshot, BestEffortAttackRevertsDiskToLastCheckpoint) {
 // --- Asynchronous deep scan ---------------------------------------------------
 
 TEST(AsyncDeepScan, CatchesRootkitThatEvadesOnlineScans) {
-  TestGuest guest;
-  CrimesConfig config;
-  config.checkpoint = CheckpointConfig::full(millis(50));
-  config.async_deep_scan_every = 2;
-  Crimes crimes(guest.hypervisor, *guest.kernel, config);
-  // Online module registered too: it must NOT fire (the rootkit scrubs
-  // the pid hash), proving the async path found it.
-  crimes.add_module(std::make_unique<HiddenProcessModule>());
-
   class ThoroughRootkit final : public Workload {
    public:
     explicit ThoroughRootkit(GuestKernel& kernel) : kernel_(&kernel) {}
@@ -138,19 +129,48 @@ TEST(AsyncDeepScan, CatchesRootkitThatEvadesOnlineScans) {
     int epoch_ = 0;
   };
 
-  ThoroughRootkit app(*guest.kernel);
-  crimes.set_workload(&app);
-  crimes.initialize();
-  const RunSummary summary = crimes.run(millis(5000));
+  // Stop-copy settles each epoch at its checkpoint, speculative CoW at the
+  // next barrier; the deep scan rides both, in one run() or in the
+  // one-epoch run() slices a CloudHost drives its tenants with.
+  for (const bool cow : {false, true}) {
+    for (const bool sliced : {false, true}) {
+      SCOPED_TRACE(std::string(cow ? "cow" : "stop-copy") +
+                   (sliced ? ", one-epoch slices" : ", one run"));
+      TestGuest guest;
+      CrimesConfig config;
+      config.checkpoint = cow ? CheckpointConfig::cow(millis(50))
+                              : CheckpointConfig::full(millis(50));
+      config.async_deep_scan_every = 2;
+      Crimes crimes(guest.hypervisor, *guest.kernel, config);
+      // Online module registered too: it must NOT fire (the rootkit
+      // scrubs the pid hash), proving the async path found it.
+      crimes.add_module(std::make_unique<HiddenProcessModule>());
 
-  ASSERT_TRUE(summary.attack_detected);
-  ASSERT_FALSE(crimes.attack()->findings.empty());
-  EXPECT_EQ(crimes.attack()->findings[0].module, "async-psxview");
-  EXPECT_NE(crimes.attack()->findings[0].description.find("cryptominer"),
-            std::string::npos);
-  // Detection lag: the deep scan launched at epoch 2 and its result (a
-  // ~500 ms Volatility pass) is consumed at a later epoch boundary.
-  EXPECT_GT(summary.epochs, 2u);
+      ThoroughRootkit app(*guest.kernel);
+      crimes.set_workload(&app);
+      crimes.initialize();
+      RunSummary summary;
+      if (sliced) {
+        for (int slice = 0; slice < 100 && !summary.attack_detected;
+             ++slice) {
+          summary.merge(crimes.run(millis(50)));
+        }
+      } else {
+        summary = crimes.run(millis(5000));
+      }
+
+      ASSERT_TRUE(summary.attack_detected);
+      // An attack response, not a checkpoint-path failure.
+      EXPECT_FALSE(summary.frozen_by_governor);
+      ASSERT_FALSE(crimes.attack()->findings.empty());
+      EXPECT_EQ(crimes.attack()->findings[0].module, "async-psxview");
+      EXPECT_NE(crimes.attack()->findings[0].description.find("cryptominer"),
+                std::string::npos);
+      // Detection lag: the deep scan launched at epoch 2 and its result (a
+      // ~500 ms Volatility pass) is consumed at a later epoch boundary.
+      EXPECT_GT(summary.epochs, 2u);
+    }
+  }
 }
 
 TEST(AsyncDeepScan, CleanGuestNeverTriggers) {
