@@ -17,34 +17,49 @@ MemoryDump MemoryDump::capture(const Vm& vm, const SymbolTable& symbols,
   dump.flavor_ = flavor;
   dump.symbols_ = symbols;
   dump.vcpu_ = vm.vcpu();
-  dump.pages_.resize(vm.page_count());
-  for (std::size_t i = 0; i < vm.page_count(); ++i) {
-    dump.pages_[i] = vm.page(Pfn{i});
+  const std::vector<Mfn>& p2m = vm.p2m();
+  dump.slot_.assign(p2m.size(), kUnbacked);
+  for (std::size_t i = 0; i < p2m.size(); ++i) {
+    if (p2m[i].is_valid()) dump.backed_.push_back(Pfn{i});
+  }
+  dump.pages_.reserve(dump.backed_.size());
+  for (const Pfn pfn : dump.backed_) {
+    dump.slot_[pfn.value()] = static_cast<std::uint32_t>(dump.pages_.size());
+    dump.pages_.push_back(vm.page(pfn));
   }
   return dump;
 }
 
-const Page& MemoryDump::page(Pfn pfn) const {
-  if (pfn.value() >= pages_.size()) {
-    throw std::out_of_range("MemoryDump::page: PFN out of range");
+std::uint32_t MemoryDump::slot_of(Pfn pfn) const {
+  if (pfn.value() >= slot_.size()) {
+    throw std::out_of_range("MemoryDump: PFN out of range");
   }
-  return pages_[pfn.value()];
+  return slot_[pfn.value()];
+}
+
+const Page& MemoryDump::page(Pfn pfn) const {
+  const std::uint32_t slot = slot_of(pfn);
+  return slot == kUnbacked ? zero_page() : pages_[slot];
+}
+
+bool MemoryDump::is_backed(Pfn pfn) const {
+  return slot_of(pfn) != kUnbacked;
 }
 
 std::optional<Paddr> MemoryDump::translate(Vaddr va) const {
   if (va.value() < kVaBase) return std::nullopt;
   const std::uint64_t vpn = (va.value() - kVaBase) >> kPageShift;
-  if (vpn >= pages_.size()) return std::nullopt;
+  if (vpn >= page_count()) return std::nullopt;
 
   const Pfn table_base{vcpu_.cr3 >> kPageShift};
   const std::uint64_t pte_byte_off = vpn * sizeof(std::uint64_t);
   const Pfn pte_page{table_base.value() + pte_byte_off / kPageSize};
-  if (pte_page.value() >= pages_.size()) return std::nullopt;
+  if (pte_page.value() >= page_count()) return std::nullopt;
   const std::uint64_t pte = load_le<std::uint64_t>(
       page(pte_page).bytes(), pte_byte_off % kPageSize);
   if ((pte & GuestPageTable::kPresent) == 0) return std::nullopt;
   const Pfn frame{pte >> kPageShift};
-  if (frame.value() >= pages_.size()) return std::nullopt;
+  if (frame.value() >= page_count()) return std::nullopt;
   return Paddr::from(frame, va.value() & kPageOffsetMask);
 }
 

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstring>
+#include <iterator>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -59,10 +61,11 @@ std::vector<PsEntry> pslist(const MemoryDump& dump) {
 
 std::vector<PsEntry> psscan(const MemoryDump& dump) {
   // Heuristic raw sweep: look for the task magic at every 16-byte-aligned
-  // offset of every physical page, then sanity-check the candidate record.
+  // offset of every backed physical page, then sanity-check the candidate
+  // record. (Unbacked pages are all zeroes and hold no magic.)
   std::vector<PsEntry> out;
-  for (std::size_t p = 0; p < dump.page_count(); ++p) {
-    const auto bytes = dump.page(Pfn{p}).bytes();
+  for (const Pfn pfn : dump.backed()) {
+    const auto bytes = dump.page(pfn).bytes();
     for (std::size_t off = 0; off + TaskLayout::kSize <= kPageSize;
          off += 16) {
       if (load_le<std::uint32_t>(bytes, off + TaskLayout::kMagicOff) !=
@@ -80,7 +83,7 @@ std::vector<PsEntry> psscan(const MemoryDump& dump) {
           .state = load_le<std::uint32_t>(bytes, off + TaskLayout::kStateOff),
           .start_time_ns =
               load_le<std::uint64_t>(bytes, off + TaskLayout::kStartTimeOff),
-          .task_va = Vaddr{kVaBase + (p << kPageShift) + off},
+          .task_va = Vaddr{kVaBase + (pfn.value() << kPageShift) + off},
       });
     }
   }
@@ -146,8 +149,8 @@ std::vector<ModEntry> modscan(const MemoryDump& dump) {
   }
 
   std::vector<ModEntry> out;
-  for (std::size_t p = 0; p < dump.page_count(); ++p) {
-    const auto bytes = dump.page(Pfn{p}).bytes();
+  for (const Pfn pfn : dump.backed()) {
+    const auto bytes = dump.page(pfn).bytes();
     for (std::size_t off = 0; off + ModuleLayout::kSize <= kPageSize;
          off += 16) {
       if (load_le<std::uint32_t>(bytes, off + ModuleLayout::kMagicOff) !=
@@ -158,7 +161,7 @@ std::vector<ModEntry> modscan(const MemoryDump& dump) {
           load_cstr(bytes, off + ModuleLayout::kNameOff,
                     ModuleLayout::kNameLen);
       if (!plausible_name(name) || name == "__module_head") continue;
-      const Vaddr va{kVaBase + (p << kPageShift) + off};
+      const Vaddr va{kVaBase + (pfn.value() << kPageShift) + off};
       out.push_back(ModEntry{
           .name = name,
           .size = load_le<std::uint64_t>(bytes, off + ModuleLayout::kSizeOff),
@@ -187,6 +190,32 @@ const char* tcp_state_name(std::uint32_t state) {
 }
 
 namespace {
+
+// Calls `emit(base)` for each entry of the table at `table` whose magic
+// matches. The tables carry no length, so the walk runs until a magic read
+// faults; the guest maps every page but PFN 0, so that is the end of guest
+// memory. A magic on a frame that was unbacked at capture reads as zero, so
+// the walk steps straight to the first entry whose magic lies on the next
+// page.
+template <typename Layout, typename Emit>
+void walk_table(const MemoryDump& dump, Vaddr table, Emit emit) {
+  for (std::uint64_t i = 0;;) {
+    const Vaddr base = table + i * Layout::kSize;
+    const Vaddr magic_va = base + Layout::kMagicOff;
+    const auto pa = dump.translate(magic_va);
+    if (pa && !dump.is_backed(pa->pfn())) {
+      const std::uint64_t next_page = (magic_va.value() | kPageOffsetMask) + 1;
+      const std::uint64_t first = table.value() + Layout::kMagicOff;
+      i = (next_page - first + Layout::kSize - 1) / Layout::kSize;
+      continue;
+    }
+    const auto magic = dump.read_u32(magic_va);
+    if (!magic) break;  // ran off the end of the mapped address space
+    if (*magic == Layout::kMagic) emit(base);
+    ++i;
+  }
+}
+
 std::string endpoint(std::uint32_t ip, std::uint16_t port) {
   return std::to_string((ip >> 24) & 0xFF) + "." +
          std::to_string((ip >> 16) & 0xFF) + "." +
@@ -199,11 +228,7 @@ std::vector<NetscanRow> netscan(const MemoryDump& dump) {
   std::vector<NetscanRow> out;
   const SymbolNames names = SymbolNames::for_flavor(dump.flavor());
   const Vaddr table = dump.symbols().lookup(names.socket_table);
-  for (std::size_t i = 0;; ++i) {
-    const Vaddr base = table + i * SocketLayout::kSize;
-    const auto magic = dump.read_u32(base + SocketLayout::kMagicOff);
-    if (!magic) break;  // ran off the mapped table region
-    if (*magic != SocketLayout::kMagic) continue;
+  walk_table<SocketLayout>(dump, table, [&](Vaddr base) {
     out.push_back(NetscanRow{
         .pid = Pid{dump.read_u32(base + SocketLayout::kPidOff).value_or(0)},
         .proto = dump.read_u32(base + SocketLayout::kProtoOff).value_or(0),
@@ -220,7 +245,7 @@ std::vector<NetscanRow> netscan(const MemoryDump& dump) {
                     .value_or(0))),
         .entry_va = base,
     });
-  }
+  });
   return out;
 }
 
@@ -228,11 +253,7 @@ std::vector<HandleRow> handles(const MemoryDump& dump) {
   std::vector<HandleRow> out;
   const SymbolNames names = SymbolNames::for_flavor(dump.flavor());
   const Vaddr table = dump.symbols().lookup(names.file_table);
-  for (std::size_t i = 0;; ++i) {
-    const Vaddr base = table + i * FileHandleLayout::kSize;
-    const auto magic = dump.read_u32(base + FileHandleLayout::kMagicOff);
-    if (!magic) break;
-    if (*magic != FileHandleLayout::kMagic) continue;
+  walk_table<FileHandleLayout>(dump, table, [&](Vaddr base) {
     out.push_back(HandleRow{
         .pid = Pid{dump.read_u32(base + FileHandleLayout::kPidOff)
                        .value_or(0)},
@@ -241,7 +262,7 @@ std::vector<HandleRow> handles(const MemoryDump& dump) {
                     .value_or(""),
         .entry_va = base,
     });
-  }
+  });
   return out;
 }
 
@@ -319,12 +340,19 @@ std::vector<std::uint64_t> syscall_table(const MemoryDump& dump) {
 
 std::vector<MalfindHit> malfind(const MemoryDump& dump,
                                 std::size_t min_sled) {
+  // A sled of zero bytes is no sled: an empty run never counts as a hit.
+  min_sled = std::max<std::size_t>(min_sled, 1);
   std::vector<MalfindHit> hits;
-  for (std::size_t p = 0; p < dump.page_count(); ++p) {
-    const auto bytes = dump.page(Pfn{p}).bytes();
+  // Unbacked pages are all zeroes and hold no NOP.
+  for (const Pfn pfn : dump.backed()) {
+    const auto bytes = dump.page(pfn).bytes();
     std::size_t i = 0;
     while (i < kPageSize) {
-      // Count a run of 0x90 NOPs.
+      // Jump to the next 0x90, then count the run of NOPs there.
+      const void* nop = std::memchr(bytes.data() + i, 0x90, kPageSize - i);
+      if (nop == nullptr) break;
+      i = static_cast<std::size_t>(static_cast<const std::byte*>(nop) -
+                                   bytes.data());
       std::size_t sled = 0;
       while (i + sled < kPageSize && bytes[i + sled] == std::byte{0x90}) {
         ++sled;
@@ -342,7 +370,7 @@ std::vector<MalfindHit> malfind(const MemoryDump& dump,
           stub = true;
         }
         hits.push_back(MalfindHit{
-            .va = Vaddr{kVaBase + (p << kPageShift) + i},
+            .va = Vaddr{kVaBase + (pfn.value() << kPageShift) + i},
             .length = sled + (stub ? 9 : 0),
             .reason = "NOP sled (" + std::to_string(sled) + " bytes)" +
                       (stub ? " + syscall stub" : ""),
@@ -350,7 +378,7 @@ std::vector<MalfindHit> malfind(const MemoryDump& dump,
         i = after + (stub ? 9 : 0);
         continue;
       }
-      i += sled + 1;
+      i += sled;
     }
   }
   return hits;
@@ -380,10 +408,16 @@ std::vector<TimelineEvent> timeline(const MemoryDump& dump) {
 DumpDiff DumpDiff::compute(const MemoryDump& before, const MemoryDump& after) {
   DumpDiff diff;
 
+  // A PFN unbacked in both dumps reads as zero_page() in both: only PFNs
+  // backed in either can differ.
   const std::size_t pages = std::min(before.page_count(), after.page_count());
-  for (std::size_t i = 0; i < pages; ++i) {
-    if (!(before.page(Pfn{i}) == after.page(Pfn{i}))) {
-      diff.changed_pages.push_back(Pfn{i});
+  std::vector<Pfn> candidates;
+  std::ranges::set_union(before.backed(), after.backed(),
+                         std::back_inserter(candidates));
+  for (const Pfn pfn : candidates) {
+    if (pfn.value() >= pages) break;
+    if (!(before.page(pfn) == after.page(pfn))) {
+      diff.changed_pages.push_back(pfn);
     }
   }
 

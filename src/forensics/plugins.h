@@ -114,9 +114,10 @@ struct MalfindHit {
   std::string reason;  // e.g. "NOP sled (24 bytes) + syscall stub"
 };
 
-// Sweeps raw physical memory for shellcode signatures: long NOP sleds and
-// `mov rax, imm; syscall` stubs. Like Volatility's malfind, it trades
-// false positives for coverage; callers triage the hits.
+// Sweeps raw physical memory for shellcode signatures: runs of at least
+// `min_sled` 0x90 NOPs (a `min_sled` of 0 counts as 1), each with the
+// `mov rax, imm; syscall` stub that may follow it. Like Volatility's
+// malfind, it trades false positives for coverage; callers triage the hits.
 [[nodiscard]] std::vector<MalfindHit> malfind(const MemoryDump& dump,
                                               std::size_t min_sled = 16);
 
